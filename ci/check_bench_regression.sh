@@ -31,7 +31,13 @@ BENCH_e15.json drain_ms min
 BENCH_e16.json file_speedup max
 BENCH_e17.json snapshot_ratio max
 BENCH_e18.json recovery_speedup max
+BENCH_e19.json recovery_ratio min
 '
+# (E19's execute_ratio has an absolute bar instead — report.ok() fails
+# the exp binary above 2.0 — and is a ratio of two microsecond costs,
+# too close to 1 for a percentage gate to separate drift from noise; the
+# recovery_ratio row catches a quadratic cliff, which moves it from ~4
+# toward 16.)
 # (E18's volume_ratio has an absolute bar instead — report.ok() fails
 # the exp binary above 1.5 — so only the speedup headline is
 # baseline-gated here.)

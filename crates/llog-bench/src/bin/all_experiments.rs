@@ -67,6 +67,11 @@ fn main() {
     let e18 = llog_bench::e18_hybrid_logging::run(&p18);
     println!("== E18 — adaptive hybrid logging: recovery speed vs log volume ==");
     println!("{}", llog_bench::e18_hybrid_logging::table(&e18));
+    let p19 = llog_bench::e19_rw_scaling::Params::from_env();
+    let e19 = llog_bench::e19_rw_scaling::run(&p19);
+    println!("== E19 — rW scaling: execute cost vs window, recovery vs log length ==");
+    println!("{}", llog_bench::e19_rw_scaling::window_table(&e19));
+    println!("{}", llog_bench::e19_rw_scaling::recovery_table(&e19));
     let ok = (1..=5u64).all(llog_bench::e6_checkpointing::idempotency_check);
     println!(
         "Theorem 2 idempotency: {}",

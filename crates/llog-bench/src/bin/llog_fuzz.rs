@@ -37,15 +37,23 @@
 //!   snapshot read path agrees with the stable-log replay oracle;
 //! - hybrid-logging differential (mode 8): the same seeded workload run
 //!   under all three `LogPolicy` choices with identical fault plans and a
-//!   mid-run checkpoint (conversion records included) recovers to
-//!   byte-identical visible state at every clean crash cut, each policy
-//!   passing the serial/parallel mode oracle and idempotence on its own.
+//!   mid-run checkpoint (conversion records included) shows byte-identical
+//!   visible state after every operation and recovers byte-identical state
+//!   whenever two policies' clean crash cuts land on the same operation,
+//!   each policy passing the serial/parallel mode oracle and idempotence
+//!   on its own;
+//! - incremental-rW differential (mode 0): the same seeded history of
+//!   blind, identity and multi-object writes with interleaved installs
+//!   runs through the incremental write graph and its whole-graph oracle,
+//!   which must agree after every operation, and a crash of the audited
+//!   engine must recover with identical REDO outcomes
+//!   ([`llog_sim::rw_differential`]).
 //!
 //! Failures are shrunk by the testkit property harness and print a repro
-//! command:
+//! command (with `--mode M` when the run pinned a mode):
 //!
 //! ```text
-//! LLOG_FUZZ_SEED=<seed> llog-fuzz --replay
+//! LLOG_FUZZ_SEED=<seed> llog-fuzz --replay [--mode M]
 //! ```
 //!
 //! Environment: `LLOG_FUZZ_SEED` (base seed), `LLOG_FUZZ_ITERS`
@@ -83,11 +91,36 @@ use llog_wal::ForceOutcome;
 // ---------------------------------------------------------------------------
 
 const DEFAULT_ITERS: u64 = 100;
+/// Case families `0..MODES`.
+const MODES: usize = 9;
+
+/// Parse a `--mode`/`LLOG_FUZZ_MODE` value; anything but `0..MODES` is an
+/// error rather than a silent clamp.
+fn parse_mode(v: Option<String>) -> Result<usize, String> {
+    match v.as_deref().map(str::trim).map(str::parse::<usize>) {
+        Some(Ok(m)) if m < MODES => Ok(m),
+        Some(Ok(m)) => Err(format!("mode {m} out of range 0-{}", MODES - 1)),
+        _ => Err(format!(
+            "mode must be a number 0-{}, got {:?}",
+            MODES - 1,
+            v.unwrap_or_default()
+        )),
+    }
+}
 
 fn main() -> ExitCode {
     let mut iters: Option<u64> = env_u64("LLOG_FUZZ_ITERS");
     let mut seed: Option<u64> = env_u64("LLOG_FUZZ_SEED");
-    let mut mode: Option<usize> = env_u64("LLOG_FUZZ_MODE").map(|v| v as usize);
+    let mut mode: Option<usize> = None;
+    if let Ok(v) = std::env::var("LLOG_FUZZ_MODE") {
+        match parse_mode(Some(v)) {
+            Ok(m) => mode = Some(m),
+            Err(e) => {
+                eprintln!("llog-fuzz: LLOG_FUZZ_MODE: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
     let mut replay = false;
 
     let mut args = std::env::args().skip(1);
@@ -95,7 +128,13 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--iters" => iters = args.next().and_then(|v| v.parse().ok()),
             "--seed" => seed = args.next().and_then(|v| v.parse().ok()),
-            "--mode" => mode = args.next().and_then(|v| v.parse().ok()),
+            "--mode" => match parse_mode(args.next()) {
+                Ok(m) => mode = Some(m),
+                Err(e) => {
+                    eprintln!("llog-fuzz: --mode: {e}");
+                    return ExitCode::FAILURE;
+                }
+            },
             "--replay" => replay = true,
             "--help" | "-h" => {
                 print_help();
@@ -122,7 +161,7 @@ fn main() -> ExitCode {
         for attempt in 0..attempts {
             if let Err(report) = run_iteration(s, mode) {
                 eprintln!("llog-fuzz: seed {s} reproduced on attempt {attempt}");
-                return fail(s, &report);
+                return fail(s, mode, &report);
             }
         }
         println!("llog-fuzz: seed {s} passed {attempts} attempts (bug no longer reproduces?)");
@@ -140,7 +179,7 @@ fn main() -> ExitCode {
         let iter_seed = sm.next_u64();
         if let Err(report) = run_iteration(iter_seed, mode) {
             eprintln!("llog-fuzz: iteration {i} FAILED");
-            return fail(iter_seed, &report);
+            return fail(iter_seed, mode, &report);
         }
         if (i + 1) % 50 == 0 {
             println!("llog-fuzz: {}/{iters} iterations clean", i + 1);
@@ -158,8 +197,10 @@ fn print_help() {
          \n\
          --iters N   iterations to run (env LLOG_FUZZ_ITERS, default {DEFAULT_ITERS})\n\
          --seed S    base seed (env LLOG_FUZZ_SEED, default: wall clock)\n\
-         --mode M    pin the case family 0-8 (env LLOG_FUZZ_MODE; 0 kv,\n\
-        \x20            1 sharded, 2 persist, 3 domains, 4 mem-vs-file\n\
+         --mode M    pin the case family 0-8; others are rejected\n\
+        \x20            (env LLOG_FUZZ_MODE; 0 kv + incremental-rW\n\
+        \x20            oracle differential, 1 sharded, 2 persist,\n\
+        \x20            3 domains, 4 mem-vs-file\n\
         \x20            durability-backend differential on real files,\n\
         \x20            5 TCP server codec chaos: dropped/half-written/\n\
         \x20            garbage frames against a live llog-server,\n\
@@ -172,7 +213,7 @@ fn print_help() {
         \x20            8 hybrid-logging policy differential: one seeded\n\
         \x20            workload under Logical/Physical/Adaptive with the\n\
         \x20            same faults, checkpoint-time conversion, identical\n\
-        \x20            visible state at every clean crash cut)\n\
+        \x20            visible state after every op and at equal crash cuts)\n\
          --replay    replay a single failing iteration seed and exit\n\
          \n\
          On failure the minimal shrunk counterexample is written to\n\
@@ -180,12 +221,23 @@ fn print_help() {
     );
 }
 
-fn fail(seed: u64, report: &str) -> ExitCode {
+/// The command that replays `seed`. A pinned mode is part of it: the
+/// case strategy draws from the pinned range, so without it the same seed
+/// generates a different case.
+fn repro(seed: u64, mode: Option<usize>) -> String {
+    match mode {
+        Some(m) => format!("LLOG_FUZZ_SEED={seed} llog-fuzz --replay --mode {m}"),
+        None => format!("LLOG_FUZZ_SEED={seed} llog-fuzz --replay"),
+    }
+}
+
+fn fail(seed: u64, mode: Option<usize>, report: &str) -> ExitCode {
     let path = format!("llog-fuzz-failure-{seed}.txt");
+    let cmd = repro(seed, mode);
     let body = format!(
         "llog-fuzz invariant violation\n\
          seed: {seed}\n\
-         reproduce with: LLOG_FUZZ_SEED={seed} llog-fuzz --replay\n\n{report}\n"
+         reproduce with: {cmd}\n\n{report}\n"
     );
     if let Err(e) = std::fs::write(&path, &body) {
         eprintln!("llog-fuzz: could not write {path}: {e}");
@@ -193,7 +245,7 @@ fn fail(seed: u64, report: &str) -> ExitCode {
         eprintln!("llog-fuzz: wrote {path}");
     }
     eprintln!("{report}");
-    eprintln!("reproduce with: LLOG_FUZZ_SEED={seed} llog-fuzz --replay");
+    eprintln!("reproduce with: {cmd}");
     ExitCode::FAILURE
 }
 
@@ -229,8 +281,8 @@ fn run_iteration(seed: u64, pin_mode: Option<usize>) -> Result<(), String> {
     // the Mem↔File backend differential, mode 4, on real files in a
     // tmpdir); unpinned runs draw the mode from the seed.
     let modes = match pin_mode {
-        Some(m) => m.min(8)..m.min(8) + 1,
-        None => 0usize..9,
+        Some(m) => m..m + 1,
+        None => 0..MODES,
     };
     let strategy = (modes, 1usize..=40, 0u64..u64::MAX);
     let r = run_property_result(
@@ -463,7 +515,9 @@ fn fuzz_kv_single(n_ops: usize, material: u64) -> Result<(), String> {
     if snap(&rec2, &ids) != got {
         return Err(format!("{}: recovery is not idempotent", ctx()));
     }
-    Ok(())
+
+    // The incremental write graph against its whole-graph oracle.
+    llog_sim::rw_differential(material, n_ops).map_err(|e| format!("kv: rW differential: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -1899,10 +1953,14 @@ fn fuzz_snapshot(n_ops: usize, material: u64) -> Result<(), String> {
 ///   ([`recover_modes`]), the recovered state matches the stable-log
 ///   replay oracle, surfaces a workload prefix `k ≥ acked`, and recovery
 ///   is idempotent;
-/// - across policies: when the crash cut lands on the same operation
-///   boundary for all three (no torn force, no byte-positioned tail
-///   clip), the recovered **visible state is byte-identical** — the log
-///   encodings differ, the recovered truth must not.
+/// - across policies: the visible state after every operation is
+///   byte-identical, and when recoveries land on the same operation
+///   boundary they recover byte-identical state — the log encodings
+///   differ, the recovered truth must not. A power-failure cut can land
+///   on different boundaries: an install forces the log through its
+///   node's operations, and a physical record is a blind write that
+///   leaves its predecessor's node smaller, so the same install cadence
+///   forces different prefixes under different policies.
 fn fuzz_hybrid(n_ops: usize, material: u64) -> Result<(), String> {
     let mut rng = TestRng::seed_from_u64(material ^ 0x4B1D_0000);
     let n_objects = rng.random_range(2u64..8);
@@ -1938,7 +1996,8 @@ fn fuzz_hybrid(n_ops: usize, material: u64) -> Result<(), String> {
         LogPolicy::Physical,
         LogPolicy::Adaptive(CostModel::default()),
     ];
-    let mut comparable_states: Vec<(LogPolicy, Vec<Value>)> = Vec::new();
+    let mut runs: Vec<(LogPolicy, Vec<Vec<Value>>)> = Vec::new();
+    let mut comparable_states: Vec<(LogPolicy, usize, Vec<Value>)> = Vec::new();
     for policy in policies {
         let registry = TransformRegistry::with_builtins();
         if seed_costs {
@@ -2051,21 +2110,54 @@ fn fuzz_hybrid(n_ops: usize, material: u64) -> Result<(), String> {
         // differently-sized log at a different operation; only clean
         // op-boundary cuts are comparable across policies.
         if !torn && end_choice != 2 {
-            comparable_states.push((policy, got));
+            comparable_states.push((policy, k, got));
         }
+        runs.push((policy, snapshots));
     }
 
-    if comparable_states.len() == policies.len() {
-        let (p0, s0) = &comparable_states[0];
-        for (p, s) in &comparable_states[1..] {
-            if s != s0 {
+    let (p0, s0) = &runs[0];
+    for (p, s) in &runs[1..] {
+        if let Some(i) = (0..s0.len().min(s.len())).find(|&i| s0[i] != s[i]) {
+            return Err(format!(
+                "hybrid: visible state after {i} ops differs: {p0:?} {:?} vs {p:?} {:?} \
+                 (n_ops={n_ops} ckpt_at={ckpt_at:?} seed_costs={seed_costs})",
+                s0[i], s[i]
+            ));
+        }
+    }
+    for (i, (p0, k0, s0)) in comparable_states.iter().enumerate() {
+        for (p, k, s) in &comparable_states[i + 1..] {
+            if k == k0 && s != s0 {
                 return Err(format!(
-                    "hybrid: policy divergence at a clean crash cut: {p0:?} \
-                     recovered {s0:?} but {p:?} recovered {s:?} \
+                    "hybrid: policy divergence at a clean crash cut after {k} ops: \
+                     {p0:?} recovered {s0:?} but {p:?} recovered {s:?} \
                      (n_ops={n_ops} ckpt_at={ckpt_at:?} seed_costs={seed_costs})"
                 ));
             }
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn modes_outside_the_families_are_rejected() {
+        assert_eq!(parse_mode(Some("8".into())), Ok(8));
+        assert_eq!(parse_mode(Some(" 0 ".into())), Ok(0));
+        assert!(parse_mode(Some("9".into())).is_err());
+        assert!(parse_mode(Some("x".into())).is_err());
+        assert!(parse_mode(None).is_err());
+    }
+
+    #[test]
+    fn a_pinned_repro_keeps_its_mode() {
+        assert_eq!(
+            repro(7, Some(8)),
+            "LLOG_FUZZ_SEED=7 llog-fuzz --replay --mode 8"
+        );
+        assert_eq!(repro(7, None), "LLOG_FUZZ_SEED=7 llog-fuzz --replay");
+    }
 }

@@ -25,6 +25,7 @@
 //! | [`e16_append_speed`] | DESIGN §14: segment recycling + double buffer + fsync coalescing |
 //! | [`e17_snapshot_reads`] | DESIGN §15: lock-free MVCC snapshot reads vs the engine mutex |
 //! | [`e18_hybrid_logging`] | DESIGN §16: adaptive logical/physical records + checkpoint conversion |
+//! | [`e19_rw_scaling`] | Figure 6 / DESIGN §3: per-op rW cost vs window, recovery vs log length |
 
 pub mod e10_amortization;
 pub mod e11_sharding;
@@ -35,6 +36,7 @@ pub mod e15_replication;
 pub mod e16_append_speed;
 pub mod e17_snapshot_reads;
 pub mod e18_hybrid_logging;
+pub mod e19_rw_scaling;
 pub mod e1_logging_cost;
 pub mod e2_domain_logging;
 pub mod e3_flushsets;

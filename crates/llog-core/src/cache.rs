@@ -12,7 +12,7 @@
 //! - maintain vSIs and the generalized rSIs that the §5 REDO test uses,
 //! - **checkpoint**: log the dirty object table and truncate the log.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use llog_ops::{table1, LogPolicy, OpKind, Operation, Transform, TransformRegistry};
@@ -23,6 +23,7 @@ use llog_wal::{
 };
 
 use crate::media::{Backup, BackupInProgress, BackupMode};
+use crate::rwgraph::oracle::ReferenceRwGraph;
 use crate::rwgraph::{NodeId, RWGraph};
 use crate::wgraph::WriteGraph;
 
@@ -112,11 +113,11 @@ pub struct Engine {
     store: StableStore,
     wal: Wal,
     rw: RWGraph,
-    cache: BTreeMap<ObjectId, CacheEntry>,
+    cache: HashMap<ObjectId, CacheEntry>,
     /// Uninstalled operations, keyed by id (= arrival order).
     live_ops: BTreeMap<OpId, LiveOp>,
     /// Uninstalled writers per object, ordered by lSI (for rSI computation).
-    writers: BTreeMap<ObjectId, BTreeMap<Lsn, OpId>>,
+    writers: HashMap<ObjectId, BTreeMap<Lsn, OpId>>,
     /// The dirty object table: object → rSI.
     dirty_rsi: BTreeMap<ObjectId, Lsn>,
     next_op: u64,
@@ -138,6 +139,9 @@ pub struct Engine {
     converted: BTreeSet<OpId>,
     // Audit state (only populated when config.audit).
     full_history: Vec<Operation>,
+    /// The whole-graph `rW` oracle, run beside `rw` and compared with it
+    /// after every operation and install.
+    rw_oracle: Option<ReferenceRwGraph>,
     installed_ops: BTreeSet<OpId>,
 }
 
@@ -169,9 +173,9 @@ impl Engine {
             store,
             wal,
             rw: RWGraph::new(),
-            cache: BTreeMap::new(),
+            cache: HashMap::new(),
             live_ops: BTreeMap::new(),
-            writers: BTreeMap::new(),
+            writers: HashMap::new(),
             dirty_rsi: BTreeMap::new(),
             next_op: 0,
             cache_capacity: None,
@@ -181,6 +185,7 @@ impl Engine {
             versions: None,
             converted: BTreeSet::new(),
             full_history: Vec::new(),
+            rw_oracle: (config.audit && config.graph == GraphKind::RW).then(ReferenceRwGraph::new),
             installed_ops: BTreeSet::new(),
         }
     }
@@ -411,9 +416,7 @@ impl Engine {
         }
         let kept = self.convertible_outputs(&op, &outputs);
         self.apply_outputs(&op, lsn, outputs);
-        if self.config.graph == GraphKind::RW {
-            self.rw.add_op(&op);
-        }
+        self.add_to_graph(&op);
         self.live_ops.insert(
             id,
             LiveOp {
@@ -449,9 +452,7 @@ impl Engine {
             .apply(op.id, &op.transform, &inputs, op.writes.len())?;
         let kept = self.convertible_outputs(op, &outputs);
         self.apply_outputs(op, lsn, outputs);
-        if self.config.graph == GraphKind::RW {
-            self.rw.add_op(op);
-        }
+        self.add_to_graph(op);
         self.live_ops.insert(
             op.id,
             LiveOp {
@@ -475,9 +476,7 @@ impl Engine {
     pub(crate) fn adopt_replayed(&mut self, op: &Operation, lsn: Lsn, outputs: Vec<Value>) {
         let kept = self.convertible_outputs(op, &outputs);
         self.apply_outputs(op, lsn, outputs);
-        if self.config.graph == GraphKind::RW {
-            self.rw.add_op(op);
-        }
+        self.add_to_graph(op);
         self.live_ops.insert(
             op.id,
             LiveOp {
@@ -490,6 +489,43 @@ impl Engine {
         if self.config.audit {
             self.full_history.push(op.clone());
         }
+    }
+
+    /// `addop_rW` for an operation that just joined the history; audit
+    /// mode replays it through the oracle and compares.
+    fn add_to_graph(&mut self, op: &Operation) {
+        if self.config.graph != GraphKind::RW {
+            return;
+        }
+        self.rw.add_op(op);
+        if let Some(oracle) = &mut self.rw_oracle {
+            oracle.add_op(op);
+            if let Err(e) = oracle.diff(&self.rw) {
+                panic!("rW diverged from its oracle after {:?}: {e}", op.id);
+            }
+        }
+    }
+
+    /// The minimal rW node to install next (skipping `skip`): the one whose
+    /// first operation is oldest. Audit mode checks the oracle agrees.
+    fn next_minimal(&self, skip: Option<NodeId>) -> Option<NodeId> {
+        let n = self.rw.install_order().find(|&m| Some(m) != skip);
+        if let Some(oracle) = &self.rw_oracle {
+            let first = |ops: &[OpId]| ops.first().copied();
+            let skip_op = skip
+                .and_then(|s| self.rw.node(s))
+                .and_then(|nd| first(nd.ops()));
+            let expect = oracle
+                .install_order()
+                .into_iter()
+                .filter_map(|m| oracle.node(m).and_then(|nd| first(nd.ops())))
+                .find(|&op| Some(op) != skip_op);
+            let got = n
+                .and_then(|m| self.rw.node(m))
+                .and_then(|nd| first(nd.ops()));
+            assert_eq!(got, expect, "rW install choice diverged from its oracle");
+        }
+        n
     }
 
     fn apply_outputs(&mut self, op: &Operation, lsn: Lsn, outputs: Vec<Value>) {
@@ -534,12 +570,10 @@ impl Engine {
     pub fn install_one(&mut self) -> Result<bool> {
         match self.config.graph {
             GraphKind::RW => {
-                let mut minimals = self.rw.minimal_nodes();
-                if minimals.is_empty() {
+                let Some(n) = self.next_minimal(None) else {
                     return Ok(false);
-                }
-                minimals.sort_by_key(|&n| self.rw.node(n).and_then(|nd| nd.ops().first().copied()));
-                self.install_rw_node(minimals[0])?;
+                };
+                self.install_rw_node(n)?;
                 Ok(true)
             }
             GraphKind::W => self.install_w_minimal(),
@@ -573,8 +607,8 @@ impl Engine {
         }
         // The identity writes below mutate the graph: they can surface
         // inverse write-read predecessors, and their cycle collapses can
-        // merge the node into a fresh one. Track it through a
-        // representative operation.
+        // merge the node into another. Track it through a representative
+        // operation.
         let rep_op = *node.ops().first().expect("node has operations");
         let mut current = n;
         loop {
@@ -596,18 +630,18 @@ impl Engine {
                 for x in vars {
                     // Re-check membership: earlier identity writes may have
                     // reshaped the node.
-                    let here = self.rw.node_of_op(rep_op).ok_or_else(|| {
-                        LlogError::CacheProtocol("node lost during breakup".into())
-                    })?;
+                    let Some(here) = self.rw.node_of_op(rep_op) else {
+                        return Ok(()); // installed by a nested install
+                    };
                     let still_in = self.rw.node(here).is_some_and(|nd| nd.vars().contains(&x));
                     if x != keep && still_in {
                         self.identity_write(x)?;
                     }
                 }
-                current = self
-                    .rw
-                    .node_of_op(rep_op)
-                    .ok_or_else(|| LlogError::CacheProtocol("node lost during breakup".into()))?;
+                let Some(here) = self.rw.node_of_op(rep_op) else {
+                    return Ok(()); // installed by a nested install
+                };
+                current = here;
                 continue;
             }
 
@@ -616,21 +650,17 @@ impl Engine {
             // minimal nodes (the graph is acyclic, so progress is
             // guaranteed).
             if !node.preds().is_empty() {
-                let mut minimals = self.rw.minimal_nodes();
-                minimals.sort_by_key(|&m| self.rw.node(m).and_then(|nd| nd.ops().first().copied()));
-                let m = minimals
-                    .into_iter()
-                    .find(|&m| m != current)
-                    .ok_or_else(|| {
-                        LlogError::CacheProtocol(
-                            "no installable predecessor for broken-up node".into(),
-                        )
-                    })?;
+                let m = self.next_minimal(Some(current)).ok_or_else(|| {
+                    LlogError::CacheProtocol("no installable predecessor for broken-up node".into())
+                })?;
                 self.install_rw_node(m)?;
-                current = self
-                    .rw
-                    .node_of_op(rep_op)
-                    .ok_or_else(|| LlogError::CacheProtocol("node lost during breakup".into()))?;
+                // The predecessor's own breakup can close a cycle through
+                // this node and install the merged node: then rep_op's
+                // node is gone because its operations are installed.
+                let Some(here) = self.rw.node_of_op(rep_op) else {
+                    return Ok(());
+                };
+                current = here;
                 continue;
             }
 
@@ -639,6 +669,13 @@ impl Engine {
             let notx: Vec<ObjectId> = node.notx().into_iter().collect();
             self.do_install(&ops, &vars, &notx)?;
             self.rw.remove_node(current);
+            if let Some(oracle) = &mut self.rw_oracle {
+                let n = oracle.node_of_op(rep_op).expect("oracle holds the node");
+                oracle.remove_node(n);
+                if let Err(e) = oracle.diff(&self.rw) {
+                    panic!("rW diverged from its oracle after installing {rep_op:?}: {e}");
+                }
+            }
             return Ok(());
         }
     }
@@ -665,13 +702,23 @@ impl Engine {
     /// `vars` (atomically if multi-object), log the installation, advance
     /// rSIs for `vars ∪ notx`, and retire the operations.
     fn do_install(&mut self, ops: &[OpId], vars: &[ObjectId], notx: &[ObjectId]) -> Result<()> {
-        // WAL protocol: all involved operations must be stable first.
+        // WAL protocol: all involved operations must be stable first — and
+        // so must the later writers of Notx(n). Installing an unexposed
+        // object without flushing it leaves its value to be regenerated
+        // from their records; if they were lost in a crash, recovery would
+        // have to redo these operations against stable state they already
+        // overwrote.
         let max_lsn = ops
             .iter()
             .filter_map(|id| self.live_ops.get(id).map(|l| l.lsn))
             .max()
             .ok_or_else(|| LlogError::CacheProtocol("installing unknown ops".into()))?;
-        self.wal.force_through(max_lsn);
+        let notx_lsn = notx
+            .iter()
+            .filter_map(|x| self.writers.get(x)?.keys().next_back().copied())
+            .max();
+        self.wal
+            .force_through(notx_lsn.map_or(max_lsn, |l| l.max(max_lsn)));
 
         // Flush vars.
         match vars.len() {

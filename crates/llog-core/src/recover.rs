@@ -147,15 +147,18 @@ pub struct RecoveryOutcome {
 #[derive(Debug, Clone, Default)]
 struct Analysis {
     dirty: BTreeMap<ObjectId, Lsn>,
-    /// Values of committed flush transactions, in log order.
-    ftxn_values: Vec<(ObjectId, Value, Lsn)>,
+    /// Values of committed flush transactions, per object in log order,
+    /// that no later flush of the object supersedes.
+    ftxn_values: BTreeMap<ObjectId, Vec<(Value, Lsn)>>,
     redo_start: Lsn,
     scanned: u64,
     torn_tail: bool,
     max_op_id: Option<u64>,
 }
 
-/// Recompute the running ring lower bound every this many retained ops.
+/// Recompute the running ring lower bound every this many retained ops, or
+/// every `|dirty table|` ops when that is more: the bound is a scan of the
+/// table, so the larger interval keeps it amortized O(1) per record.
 const PRUNE_INTERVAL: usize = 256;
 
 /// The analysis state machine, one [`step`](Analyzer::step) per log record.
@@ -242,13 +245,20 @@ impl Analyzer {
                         }
                     }
                     self.since_prune += 1;
-                    if self.prune && self.since_prune >= PRUNE_INTERVAL {
+                    if self.prune && self.since_prune >= PRUNE_INTERVAL.max(self.a.dirty.len()) {
                         self.since_prune = 0;
                         self.prune_ring(lsn);
                     }
                 }
             }
             LogRecord::Install(ir) => {
+                // A logged flush happened after every committed flush
+                // transaction before it: its object's stable value is no
+                // longer the transaction's to complete (a later delete
+                // would otherwise be undone by the replay below).
+                for (x, _) in &ir.vars {
+                    self.a.ftxn_values.remove(x);
+                }
                 for (x, rsi) in ir.vars.into_iter().chain(ir.notx) {
                     if rsi == Lsn::MAX {
                         self.a.dirty.remove(&x);
@@ -259,13 +269,16 @@ impl Analyzer {
             }
             LogRecord::Flush { obj, .. } => {
                 self.a.dirty.remove(&obj);
+                self.a.ftxn_values.remove(&obj);
             }
             LogRecord::FlushTxnBegin { .. } => self.pending_ftxn.clear(),
             LogRecord::FlushTxnValue { obj, value, vsi } => {
                 self.pending_ftxn.push((obj, value, vsi));
             }
             LogRecord::FlushTxnCommit => {
-                self.a.ftxn_values.append(&mut self.pending_ftxn);
+                for (x, value, vsi) in self.pending_ftxn.drain(..) {
+                    self.a.ftxn_values.entry(x).or_default().push((value, vsi));
+                }
             }
             LogRecord::Checkpoint(cp) => {
                 // A later checkpoint than the master (its force may have
@@ -622,10 +635,12 @@ pub fn recover_with(
     // Complete committed flush transactions whose in-place writes may not
     // have finished. Guard on vSI so an old transaction never regresses a
     // newer stable value.
-    for (x, value, vsi) in &analysis.ftxn_values {
-        if store.read_vsi(*x) < *vsi {
-            store.write(*x, value.clone(), *vsi);
-            outcome.ftxn_replayed += 1;
+    for (&x, values) in &analysis.ftxn_values {
+        for (value, vsi) in values {
+            if store.read_vsi(x) < *vsi {
+                store.write(x, value.clone(), *vsi);
+                outcome.ftxn_replayed += 1;
+            }
         }
     }
 
@@ -1091,6 +1106,77 @@ mod tests {
         let (mut recovered, out) = recover_parts(store, wal, RedoPolicy::Vsi);
         assert_eq!(out.ftxn_replayed, 0);
         assert_eq!(recovered.read_value(X), Value::from("newer"));
+    }
+
+    #[test]
+    fn committed_flush_txn_never_resurrects_a_later_delete() {
+        let cfg = EngineConfig {
+            flush: FlushStrategy::FlushTxn,
+            ..config()
+        };
+        let mut e = Engine::new(cfg, TransformRegistry::with_builtins());
+        // One op writing X and Y installs through a flush transaction.
+        exec_logical(&mut e, &[9], &[1, 2], 7);
+        e.install_all().unwrap();
+        e.execute(
+            OpKind::Delete,
+            vec![],
+            vec![X],
+            Transform::new(builtin::DELETE, Value::empty()),
+        )
+        .unwrap();
+        e.install_all().unwrap();
+        e.wal_mut().force();
+        let (store, wal) = e.crash();
+        assert!(store.peek(X).is_none());
+        let (mut recovered, out) = recover(
+            store,
+            wal,
+            TransformRegistry::with_builtins(),
+            cfg,
+            RedoPolicy::RsiExposed,
+        )
+        .unwrap();
+        assert_eq!(out.ftxn_replayed, 0);
+        assert!(recovered.read_value(X).is_empty());
+        assert!(!recovered.read_value(Y).is_empty());
+    }
+
+    #[test]
+    fn an_install_forces_the_records_that_regenerate_its_unexposed_objects() {
+        // One op writes X and Y and is forced; installing its node
+        // identity-writes one of them (logged, not yet forced) and flushes
+        // only the other. The unflushed value now lives only in that
+        // identity write's record, so the install must force it before the
+        // flushed one reaches the store.
+        let mut e = fresh_engine();
+        exec_logical(&mut e, &[9], &[1, 2], 3);
+        e.wal_mut().force();
+        assert!(e.install_one().unwrap());
+        let want = (e.peek_value(X), e.peek_value(Y));
+        let (store, wal) = e.crash();
+        assert_eq!(store.len(), 1, "one object flushed, one identity-written");
+        let (recovered, _) = recover_parts(store, wal, RedoPolicy::RsiExposed);
+        assert_eq!((recovered.peek_value(X), recovered.peek_value(Y)), want);
+    }
+
+    #[test]
+    fn a_flushed_write_witnesses_its_op_despite_a_lost_install_record() {
+        // The install record that would advance Y's rSI is torn off; the
+        // logged flush of X still shows the op installed, so redo must not
+        // re-run it against the X it already overwrote.
+        let mut e = fresh_engine();
+        // Reads Y: a redo over the flushed Y would compute from its own
+        // output. (The breakup keeps the larger value, the later one on a
+        // tie: Y is flushed, X identity-written.)
+        exec_logical(&mut e, &[2, 9], &[1, 2], 4);
+        assert!(e.install_one().unwrap());
+        let want = (e.peek_value(X), e.peek_value(Y));
+        let tail = e.wal().end_lsn().0 - e.wal().forced_lsn().0;
+        let (store, wal) = e.crash_torn(tail as usize - 1);
+        let (recovered, out) = recover_parts(store, wal, RedoPolicy::RsiExposed);
+        assert!(out.torn_tail);
+        assert_eq!((recovered.peek_value(X), recovered.peek_value(Y)), want);
     }
 
     #[test]

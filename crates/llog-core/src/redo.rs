@@ -109,22 +109,22 @@ pub fn should_redo(
         }
         RedoPolicy::RsiExposed => {
             // Candidate objects: those whose rSI admits uninstalled updates
-            // at or before this record. (Dead records — the transient-object
-            // optimization — are filtered by the caller via
-            // [`dead_records`] before this test runs.)
-            let candidates: Vec<ObjectId> = op
-                .writes
-                .iter()
-                .copied()
-                .filter(|x| match ctx.dirty.get(x) {
+            // at or before this record. An object whose rSI says this
+            // record's update is installed is a witness for the whole
+            // operation — installation is atomic per write-graph node, as
+            // in the vSI test — even when another object's rSI is stale
+            // because the install record that advanced it was lost. (Dead
+            // records — the transient-object optimization — are filtered by
+            // the caller via [`dead_records`] before this test runs.)
+            let mut candidates: Vec<ObjectId> = Vec::with_capacity(op.writes.len());
+            for &x in &op.writes {
+                match ctx.dirty.get(&x) {
                     // Not dirty at crash: every logged update is installed.
-                    None => false,
+                    None => return false,
                     // First uninstalled update is later than this record.
-                    Some(&rsi) => lsn >= rsi,
-                })
-                .collect();
-            if candidates.is_empty() {
-                return false;
+                    Some(&rsi) if lsn < rsi => return false,
+                    Some(_) => candidates.push(x),
+                }
             }
             // rSIs are approximate (the last installation's record may not
             // have reached the stable log): confirm against vSIs so we never

@@ -268,11 +268,24 @@ impl Shard {
     }
 
     /// Advance the watermark to `to` (monotonic) and wake ticket waiters.
+    ///
+    /// The version chains' pruning floor follows: it rises to
+    /// `min(oldest open snapshot, to)`, the floor
+    /// [`gc_versions`](Self::gc_versions) would use, without a sweep. The
+    /// watermark is raised (and its lock released) before the registry is
+    /// read, so a snapshot opened after the registry scan samples an SI at
+    /// or above `to` and no open snapshot loses a version it resolves.
     pub fn advance_durable(&self, to: Lsn) {
-        let mut d = lock(&self.durable);
-        if to > *d {
+        {
+            let mut d = lock(&self.durable);
+            if to <= *d {
+                return;
+            }
             *d = to;
             self.durable_cv.notify_all();
+        }
+        if let Some(vs) = self.versions() {
+            vs.raise_floor(self.snapshots.floor_with(|| to));
         }
     }
 

@@ -1909,6 +1909,42 @@ mod tests {
     }
 
     #[test]
+    fn durable_watermark_bounds_retention_without_a_checkpoint() {
+        let reg = registry();
+        let cfg = ShardedConfig {
+            shards: 1,
+            commit: CommitPolicy::Sync,
+            ..ShardedConfig::default()
+        };
+        let e = ShardedEngine::new(cfg, &reg);
+        let vs = e.shards[0].versions().unwrap();
+        let x = ObjectId(1);
+        // No checkpoint ever runs: the floor follows the durable watermark,
+        // so a hot object's chain stays at the floor survivor plus the
+        // newest version.
+        for i in 0..64 {
+            assert!(put(&e, x, &format!("v{i}")).is_durable());
+            assert!(vs.chain_len(x) <= 2, "chain grew to {}", vs.chain_len(x));
+        }
+        // A pinned snapshot holds the floor: its version stays readable
+        // through more churn, still without a checkpoint.
+        let pinned = e.open_snapshot(0).unwrap();
+        assert_eq!(pinned.read(x), Value::from("v63"));
+        for i in 64..96 {
+            assert!(put(&e, x, &format!("v{i}")).is_durable());
+        }
+        assert_eq!(pinned.read(x), Value::from("v63"));
+        drop(pinned);
+        // Released: the next durable advance raises the floor, and the
+        // publish after it prunes the chain back down (no sweep).
+        assert!(put(&e, x, "next").is_durable());
+        assert!(put(&e, x, "last").is_durable());
+        assert!(vs.chain_len(x) <= 2, "chain kept {}", vs.chain_len(x));
+        assert_eq!(e.read_value_snapshot(x).unwrap(), Value::from("last"));
+        drop(e);
+    }
+
+    #[test]
     fn snapshot_reads_disabled_falls_back_to_the_mutex_path() {
         let reg = registry();
         let cfg = ShardedConfig {

@@ -99,7 +99,7 @@ enum Role {
     /// One redo session per primary shard, index-aligned.
     Standby(Vec<RedoSession>),
     /// Promotion finished; the engine serves reads and writes.
-    Promoted(ShardedEngine),
+    Promoted(Box<ShardedEngine>),
     /// Transient placeholder while promotion or shutdown moves the state.
     Draining,
 }
@@ -767,7 +767,7 @@ fn promote(state: &Arc<State>, source_dir: &str) -> Result<()> {
     };
     match promote_sessions(sessions, source_dir, &state.registry, state.config.policy) {
         Ok(engine) => {
-            *g = Role::Promoted(engine);
+            *g = Role::Promoted(Box::new(engine));
             // Tag stores happen under the role lock: a `Put` can only be
             // accepted after this lock releases, so the promoted tag is
             // visible to reads before any post-promotion write exists.

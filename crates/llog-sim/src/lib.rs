@@ -7,6 +7,7 @@
 //! schedule, recovery restores a state the oracle accepts.*
 
 mod harness;
+mod rw_diff;
 mod table;
 mod workload;
 
@@ -14,5 +15,6 @@ pub use harness::{
     replay_stable_log, run_crash_recover_verify, run_workload, verify_against_log, CrashPoint,
     RunReport,
 };
+pub use rw_diff::rw_differential;
 pub use table::{human_bytes, Table};
 pub use workload::{OpSpec, Workload, WorkloadKind};

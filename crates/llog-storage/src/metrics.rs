@@ -94,7 +94,8 @@ pub struct Metrics {
     pub reads_snapshot: AtomicU64,
     /// Gauge: versions currently retained in the MVCC version store.
     pub versions_retained: AtomicU64,
-    /// Versions reclaimed by the snapshot-watermark GC.
+    /// Versions reclaimed against the snapshot watermark: GC sweeps plus
+    /// the pruning each publish does against the current floor.
     pub versions_gced: AtomicU64,
     /// Gauge: the SI floor of the last GC pass — the oldest snapshot any
     /// retained version must stay visible to (durable LSN when no snapshot
@@ -318,7 +319,8 @@ pub struct MetricsSnapshot {
     pub reads_snapshot: u64,
     /// Versions currently retained in the MVCC version store (gauge).
     pub versions_retained: u64,
-    /// Versions reclaimed by the snapshot-watermark GC.
+    /// Versions reclaimed against the snapshot watermark: GC sweeps plus
+    /// the pruning each publish does against the current floor.
     pub versions_gced: u64,
     /// SI floor of the last GC pass (gauge).
     pub snapshot_oldest_si: u64,

@@ -49,9 +49,9 @@ pub struct Version {
 #[derive(Debug)]
 pub struct VersionStore {
     chains: RwLock<BTreeMap<ObjectId, Vec<Version>>>,
-    /// The floor passed to the most recent [`gc`](Self::gc) call. Publishes
-    /// prune their own chain against it so retention stays bounded even
-    /// between GC passes.
+    /// The highest floor passed to [`gc`](Self::gc) or
+    /// [`raise_floor`](Self::raise_floor). Publishes prune their own chain
+    /// against it so retention stays bounded even between GC passes.
     floor: AtomicU64,
     /// Live version count, mirrored into the `versions_retained` gauge.
     retained: AtomicU64,
@@ -95,11 +95,15 @@ impl VersionStore {
             }
         }
         // Amortized retention bound: each publish re-prunes its own chain
-        // against the last GC floor, so a hot object never accumulates more
-        // history than one GC interval's worth.
-        delta -= prune_chain(chain, Lsn(self.floor.load(Ordering::Relaxed))) as i64;
+        // against the floor, which follows the durable watermark, so a hot
+        // object keeps only the versions some snapshot can still read.
+        // Acquire pairs with `raise_floor`: a floor seen here was raised
+        // after the watermark it came from, so a reader that locks the
+        // chains after this publish samples a watermark at or above it.
+        let pruned = prune_chain(chain, Lsn(self.floor.load(Ordering::Acquire)));
         drop(chains);
-        self.note_retained(delta);
+        Metrics::bump(&self.metrics.versions_gced, pruned);
+        self.note_retained(delta - pruned as i64);
     }
 
     /// Resolve `x` at snapshot cut `si`: the newest version *visible* at
@@ -143,11 +147,9 @@ impl VersionStore {
     /// already reads as empty). Returns the number of versions reclaimed.
     pub fn gc(&self, floor: Lsn) -> u64 {
         let mut chains = self.chains.write().unwrap();
-        // Floors only advance: a caller racing a newer GC must not undo its
-        // pruning bound.
-        let prev = self.floor.load(Ordering::Relaxed);
-        let floor = Lsn(prev.max(floor.0));
-        self.floor.store(floor.0, Ordering::Relaxed);
+        // Floors only advance: a caller racing a newer GC or floor raise
+        // must not undo its pruning bound.
+        let floor = Lsn(self.floor.fetch_max(floor.0, Ordering::AcqRel).max(floor.0));
         let mut reclaimed = 0u64;
         chains.retain(|_, chain| {
             reclaimed += prune_chain(chain, floor);
@@ -165,7 +167,15 @@ impl VersionStore {
         reclaimed
     }
 
-    /// The floor installed by the most recent GC pass.
+    /// Raise the pruning floor without sweeping: later publishes prune
+    /// their own chain against it (and count what they drop in
+    /// `versions_gced`). The same contract as [`gc`](Self::gc):
+    /// `floor` must not pass the oldest live snapshot SI.
+    pub fn raise_floor(&self, floor: Lsn) {
+        self.floor.fetch_max(floor.0, Ordering::Release);
+    }
+
+    /// The current pruning floor.
     pub fn floor(&self) -> Lsn {
         Lsn(self.floor.load(Ordering::Relaxed))
     }

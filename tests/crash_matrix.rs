@@ -2,14 +2,19 @@
 //! configurations, crash after *every* operation count (and at torn-tail
 //! byte offsets) and verify recovery against the replay oracle.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use llog::core::{EngineConfig, FlushStrategy, GraphKind, RedoPolicy};
+use llog::core::{
+    recover, recover_with, Engine, EngineConfig, FlushStrategy, GraphKind, RecoveryOptions,
+    RedoPolicy,
+};
 use llog::engine::{
     recover_sharded, CommitPolicy, CommitTicket, GroupCommitPolicy, ShardedConfig, ShardedEngine,
 };
 use llog::ops::{builtin, OpKind, Transform, TransformRegistry};
-use llog::sim::{run_crash_recover_verify, CrashPoint, Workload, WorkloadKind};
+use llog::sim::{
+    run_crash_recover_verify, run_workload, verify_against_log, CrashPoint, Workload, WorkloadKind,
+};
 use llog::types::{ObjectId, Value};
 
 fn registry() -> TransformRegistry {
@@ -121,6 +126,53 @@ fn every_crash_point_recovers_under_w_graph() {
         )
         .unwrap_or_else(|e| panic!("crash at {cut}: {e}"));
     }
+}
+
+/// A long log with no installs, so redo rebuilds every operation as one
+/// uninstalled window: recovery must match the serial oracle and finish
+/// within a bound that write-graph work quadratic in the window (about two
+/// minutes at this length even in release builds) cannot meet.
+#[test]
+fn long_log_recovery_matches_the_serial_oracle_in_bounded_time() {
+    const OPS: usize = 24_000;
+    const OBJECTS: u64 = 8_192;
+    let ops = Workload::new(OBJECTS, OPS, WorkloadKind::app_mix(), 20_000).generate();
+    let mut e = Engine::new(rw_config(), registry());
+    run_workload(&mut e, &ops, 0, 0).unwrap();
+    e.wal_mut().force();
+    let (store, wal) = e.crash();
+
+    let start = Instant::now();
+    let (rec, outcome) = recover(
+        store.clone(),
+        wal.clone(),
+        registry(),
+        rw_config(),
+        RedoPolicy::RsiExposed,
+    )
+    .unwrap();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(30),
+        "recovering {OPS} ops took {took:?}"
+    );
+    assert!(outcome.redone > OPS as u64 / 2, "{outcome:?}");
+
+    let (serial, serial_outcome) = recover_with(
+        store,
+        wal,
+        registry(),
+        rw_config(),
+        RedoPolicy::RsiExposed,
+        RecoveryOptions::serial(),
+    )
+    .unwrap();
+    assert_eq!(outcome, serial_outcome);
+    for x in (0..OBJECTS).map(ObjectId) {
+        assert_eq!(rec.peek_value(x), serial.peek_value(x), "object {x}");
+    }
+    assert_eq!(rec.live_op_ids(), serial.live_op_ids());
+    verify_against_log(&rec, &registry()).unwrap();
 }
 
 #[test]

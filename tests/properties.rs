@@ -122,6 +122,16 @@ proptest! {
         }
     }
 
+    /// The incremental rW agrees with its whole-graph oracle after every
+    /// operation and install — partition, `vars`, `writes`, `lastw`,
+    /// edges, install order — in a bare graph and inside an audit-mode
+    /// engine, and crash recovery reports identical REDO outcomes.
+    #[test]
+    fn rw_incremental_matches_oracle(seed in 0u64..u64::MAX, n_ops in 1usize..60) {
+        let r = llog::sim::rw_differential(seed, n_ops);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
+
     /// rW's flush sets are never worse than W's (same trace, no installs).
     #[test]
     fn rw_flush_sets_never_exceed_w(shapes in vec(shape_strategy(), 1..30)) {
