@@ -770,15 +770,7 @@ pub fn cmd_promote(addr: &str, from_dir: Option<&Path>) -> Result<()> {
 /// a server or replica, one `name=value` per field.
 pub fn cmd_lag(addr: &str) -> Result<()> {
     let mut client = llog_server::Client::connect(addr)?;
-    let stats = client.stats()?;
-    println!(
-        "lag: repl_watermark_lsn={} repl_replay_lag_frames={} \
-         repl_segments_shipped={} repl_bytes_shipped={}",
-        stats.repl_watermark_lsn,
-        stats.repl_replay_lag_frames,
-        stats.repl_segments_shipped,
-        stats.repl_bytes_shipped
-    );
+    println!("lag: {}", client.stats()?.line("lag"));
     Ok(())
 }
 
@@ -787,25 +779,9 @@ pub fn cmd_lag(addr: &str) -> Result<()> {
 pub fn cmd_server_stats(addr: &str) -> Result<()> {
     let mut client = llog_server::Client::connect(addr)?;
     let s = client.stats()?;
-    println!(
-        "server: shards={} batches={} batched_ops={} backpressure_waits={} \
-         forces_coalesced={} io_fsyncs={}",
-        s.shards, s.batches, s.batched_ops, s.backpressure_waits, s.forces_coalesced, s.io_fsyncs
-    );
-    println!(
-        "mvcc: reads_snapshot={} versions_retained={} versions_gced={} \
-         snapshot_oldest_si={}",
-        s.reads_snapshot, s.versions_retained, s.versions_gced, s.snapshot_oldest_si
-    );
-    println!(
-        "hybrid: log_records_logical={} log_records_physical={} \
-         log_bytes_logical={} log_bytes_physical={} ckpt_ops_converted={}",
-        s.log_records_logical,
-        s.log_records_physical,
-        s.log_bytes_logical,
-        s.log_bytes_physical,
-        s.ckpt_ops_converted
-    );
+    println!("server: shards={} {}", s.shards, s.line("server"));
+    println!("mvcc: {}", s.line("mvcc"));
+    println!("hybrid: {}", s.line("hybrid"));
     Ok(())
 }
 

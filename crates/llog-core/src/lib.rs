@@ -39,7 +39,6 @@ pub mod recover;
 pub mod redo;
 pub mod replica;
 pub mod rwgraph;
-pub mod shared;
 pub mod snapshot;
 pub mod wgraph;
 
@@ -51,6 +50,5 @@ pub use recover::{recover, recover_with, RecoveryMode, RecoveryOptions, Recovery
 pub use redo::RedoPolicy;
 pub use replica::{RedoSession, ReplicaReader};
 pub use rwgraph::{NodeId, RWGraph};
-pub use shared::{InstallerHandle, SharedEngine};
 pub use snapshot::{Snapshot, SnapshotRegistry};
 pub use wgraph::WriteGraph;

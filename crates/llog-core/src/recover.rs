@@ -761,7 +761,7 @@ pub fn recover_with(
         let components = partition_ops(&op_records);
         Metrics::bump(&metrics.recovery_components, components.len() as u64);
         let pool = workers.min(components.len()).max(1);
-        Metrics::bump(&metrics.recovery_parallel_workers, pool as u64);
+        Metrics::set_gauge(&metrics.recovery_parallel_workers, pool as u64);
         // Workers compute verdicts against component-local caches (the
         // store is shared read-only); nothing is mutated until the merge.
         let verdicts = replay_components(
@@ -1395,6 +1395,38 @@ mod tests {
         assert_eq!(s.recovery_parallel_workers, 3);
         assert!(s.recovery_analysis_ns > 0);
         assert!(s.recovery_redo_ns > 0);
+    }
+
+    #[test]
+    fn worker_gauge_reports_the_last_pool_on_a_shared_ledger() {
+        let mut e = fresh_engine();
+        for x in 10..14 {
+            exec_logical(&mut e, &[x], &[x], x);
+        }
+        e.wal_mut().force();
+        let (store, wal) = e.crash();
+        let metrics = store.metrics().clone();
+        let run = |workers: usize| {
+            recover_with(
+                store.clone(),
+                wal.clone(),
+                TransformRegistry::with_builtins(),
+                config(),
+                RedoPolicy::Vsi,
+                RecoveryOptions::parallel(workers),
+            )
+            .unwrap();
+        };
+        run(3);
+        let before = metrics.snapshot();
+        assert_eq!(before.recovery_parallel_workers, 3);
+        // No reset in between: the gauge holds the second pool size, not
+        // the sum, and a window over the second recovery reads it too.
+        run(2);
+        let after = metrics.snapshot();
+        assert_eq!(after.recovery_parallel_workers, 2);
+        assert_eq!(after.since(&before).recovery_parallel_workers, 2);
+        assert_eq!(after.since(&before).recovery_components, 4);
     }
 
     #[test]

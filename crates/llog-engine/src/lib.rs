@@ -62,6 +62,7 @@ mod router;
 mod scheduler;
 mod shard;
 mod sharded;
+mod signal;
 mod snapshot;
 
 pub use router::ShardRouter;
@@ -70,4 +71,4 @@ pub use sharded::{
     recover_sharded, recover_sharded_from_backends, recover_sharded_with, CommitPolicy,
     GroupCommitPolicy, ShardedConfig, ShardedEngine, ShipManifest,
 };
-pub use snapshot::{GroupCommitSnapshot, ShardedSnapshot};
+pub use snapshot::{GroupCommitSnapshot, ShardCounters, ShardedSnapshot};

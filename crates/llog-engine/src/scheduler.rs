@@ -38,13 +38,13 @@
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use llog_core::shared::lock;
 use llog_storage::Metrics;
 use llog_testkit::faults::{failpoint, ForceVerdict};
 use llog_types::Lsn;
 use llog_wal::{BeginForce, ForceOutcome};
 
 use crate::shard::Shard;
+use crate::signal::lock;
 
 /// How one coalesced force resolved. `None` means the shard's engine was
 /// gone (crashed/taken) before the barrier reached it — the caller treats

@@ -15,8 +15,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use llog_core::shared::lock;
-use llog_core::shared::WorkSignal;
 use llog_core::snapshot::{Snapshot, SnapshotRegistry};
 use llog_core::Engine;
 use llog_storage::VersionStore;
@@ -24,7 +22,8 @@ use llog_testkit::faults::{failpoint, FaultHost, ForceVerdict};
 use llog_types::{Lsn, ObjectId, OpId, Value};
 use llog_wal::ForceOutcome;
 
-use crate::snapshot::GroupCommitSnapshot;
+use crate::signal::{lock, WorkSignal};
+use crate::snapshot::ShardCounters;
 
 /// How a shard's background threads are asked to exit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,40 +46,6 @@ pub(crate) struct GcState {
     /// Set once by shutdown/crash; the flusher honours it at the next
     /// wakeup.
     pub stop: Option<StopMode>,
-}
-
-/// Monotonic event counters for one shard's commit pipeline.
-#[derive(Debug, Default)]
-pub(crate) struct ShardCounters {
-    /// Batched forces performed by the flusher.
-    pub batches: AtomicU64,
-    /// Operations covered by those batched forces.
-    pub batched_ops: AtomicU64,
-    /// Largest single batch.
-    pub max_batch: AtomicU64,
-    /// Synchronous (one-op) commits under `CommitPolicy::Sync`.
-    pub sync_commits: AtomicU64,
-    /// Completed `CommitTicket::wait` calls.
-    pub waits: AtomicU64,
-    /// Total nanoseconds those waits spent blocked on durability.
-    pub flush_wait_ns: AtomicU64,
-    /// Times `execute` parked because the uninstalled window was full.
-    pub backpressure_waits: AtomicU64,
-}
-
-impl ShardCounters {
-    pub(crate) fn snapshot(&self) -> GroupCommitSnapshot {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        GroupCommitSnapshot {
-            batches: g(&self.batches),
-            batched_ops: g(&self.batched_ops),
-            max_batch: g(&self.max_batch),
-            sync_commits: g(&self.sync_commits),
-            waits: g(&self.waits),
-            flush_wait_ns: g(&self.flush_wait_ns),
-            backpressure_waits: g(&self.backpressure_waits),
-        }
-    }
 }
 
 /// One partition of the object space: an engine plus its commit pipeline.
@@ -596,17 +561,25 @@ pub(crate) fn flusher_loop(
         // Phase 4: publish durability and account the batch.
         shard.advance_durable(forced);
         let c = &shard.counters;
-        c.batches.fetch_add(1, Ordering::Relaxed);
-        c.batched_ops.fetch_add(batch as u64, Ordering::Relaxed);
-        c.max_batch.fetch_max(batch as u64, Ordering::Relaxed);
+        c.batches.add(1);
+        c.batched_ops.add(batch as u64);
+        c.max_batch.raise(batch as u64);
     }
 }
 
 /// The per-shard background installer: drains the write graph above a
 /// high-water mark, parks on the shard's [`WorkSignal`] when idle, and
 /// bumps the backpressure epoch after every install.
+///
+/// It starts parked: the first pass waits for the first notification
+/// (from `execute`, or from the constructor when the engine starts above
+/// the high-water mark), so an idle engine's lock census never moves on
+/// its own.
 pub(crate) fn installer_loop(shard: &Shard, high_water: usize) {
-    let mut seen = shard.signal.epoch();
+    let (mut seen, stopped) = shard.signal.wait_past(0);
+    if stopped {
+        return;
+    }
     loop {
         if shard.signal.is_stopped() {
             return;
@@ -722,9 +695,8 @@ impl CommitTicket {
         }
         drop(d);
         let c = &self.shard.counters;
-        c.waits.fetch_add(1, Ordering::Relaxed);
-        c.flush_wait_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        c.waits.add(1);
+        c.flush_wait_ns.add(start.elapsed().as_nanos() as u64);
         true
     }
 
@@ -753,9 +725,8 @@ impl CommitTicket {
         }
         drop(d);
         let c = &self.shard.counters;
-        c.waits.fetch_add(1, Ordering::Relaxed);
-        c.flush_wait_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        c.waits.add(1);
+        c.flush_wait_ns.add(start.elapsed().as_nanos() as u64);
         Some(true)
     }
 }

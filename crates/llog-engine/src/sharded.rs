@@ -6,11 +6,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use llog_core::shared::{lock, WorkSignal};
 use llog_core::snapshot::Snapshot;
 use llog_core::{recover_with, Engine, EngineConfig, RecoveryOptions, RecoveryOutcome, RedoPolicy};
 use llog_ops::{OpKind, Transform, TransformRegistry};
-use llog_storage::{Metrics, MetricsSnapshot, StableStore};
+use llog_storage::{Metrics, StableStore};
 use llog_testkit::faults::FaultHost;
 use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
 use llog_wal::{DurabilityBackend, Wal};
@@ -18,6 +17,7 @@ use llog_wal::{DurabilityBackend, Wal};
 use crate::router::ShardRouter;
 use crate::scheduler::ForceScheduler;
 use crate::shard::{flusher_loop, installer_loop, CommitTicket, Shard, StopMode};
+use crate::signal::{lock, WorkSignal};
 use crate::snapshot::{GroupCommitSnapshot, ShardedSnapshot};
 
 /// When the per-shard flusher forces the log under
@@ -194,7 +194,14 @@ impl ShardedEngine {
         let shards: Vec<Arc<Shard>> = engines
             .into_iter()
             .enumerate()
-            .map(|(i, e)| Arc::new(Shard::new(i, e, faults.clone(), config.persist_on_force)))
+            .map(|(i, e)| {
+                let backlog = e.uninstalled_count() > config.install_high_water;
+                let shard = Shard::new(i, e, faults.clone(), config.persist_on_force);
+                if backlog {
+                    shard.signal.notify(); // the installer's first pass
+                }
+                Arc::new(shard)
+            })
             .collect();
         if config.snapshot_reads {
             // Seed each shard's version chains from its current state
@@ -306,10 +313,7 @@ impl ShardedEngine {
             if under {
                 break g;
             }
-            shard
-                .counters
-                .backpressure_waits
-                .fetch_add(1, Ordering::Relaxed);
+            shard.counters.backpressure_waits.add(1);
             let seen = shard.bp_epoch();
             drop(g);
             shard.signal.notify(); // make sure the installer is awake
@@ -353,7 +357,7 @@ impl ShardedEngine {
         match (self.config.commit, sync_forced) {
             (_, Some(forced)) => {
                 shard.advance_durable(forced);
-                shard.counters.sync_commits.fetch_add(1, Ordering::Relaxed);
+                shard.counters.sync_commits.add(1);
             }
             (CommitPolicy::Sync, None) => {
                 let sched = self
@@ -372,7 +376,7 @@ impl ShardedEngine {
                         reason: "barrier failed on sync commit".into(),
                     });
                 }
-                shard.counters.sync_commits.fetch_add(1, Ordering::Relaxed);
+                shard.counters.sync_commits.add(1);
             }
             (CommitPolicy::Group(_), None) => shard.enqueue_commit(),
         }
@@ -715,10 +719,11 @@ impl ShardedEngine {
         lock(&self.threads).push(handle);
     }
 
-    /// Aggregated accounting: per-shard [`MetricsSnapshot`]s, their sum,
+    /// Aggregated accounting: per-shard
+    /// [`MetricsSnapshot`](llog_storage::MetricsSnapshot)s, their merge,
     /// and the group-commit pipeline counters.
     pub fn metrics_snapshot(&self) -> ShardedSnapshot {
-        let per_shard: Vec<MetricsSnapshot> = self
+        let per_shard = self
             .shards
             .iter()
             .map(|s| {
@@ -728,21 +733,13 @@ impl ShardedEngine {
                     .unwrap_or_default()
             })
             .collect();
-        let aggregate = per_shard
-            .iter()
-            .fold(MetricsSnapshot::default(), |acc, m| acc.merged(m));
         let group_commit = self
             .shards
             .iter()
             .fold(GroupCommitSnapshot::default(), |acc, s| {
                 acc.merged(&s.counters.snapshot())
             });
-        ShardedSnapshot {
-            shards: self.shards.len(),
-            aggregate,
-            group_commit,
-            per_shard,
-        }
+        ShardedSnapshot::from_shards(per_shard, group_commit)
     }
 
     /// Stop and join every background thread (flushers honour `mode`).

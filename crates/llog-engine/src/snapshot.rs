@@ -4,24 +4,28 @@ use std::fmt::Write as _;
 
 use llog_storage::MetricsSnapshot;
 
-/// Point-in-time counters for the group-commit pipeline, summed across
-/// shards (or for one shard).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupCommitSnapshot {
-    /// Batched forces performed by shard flushers.
-    pub batches: u64,
-    /// Operations those batched forces covered.
-    pub batched_ops: u64,
-    /// Largest single batch observed on any shard.
-    pub max_batch: u64,
-    /// Synchronous one-op commits (under `CommitPolicy::Sync`).
-    pub sync_commits: u64,
-    /// Completed `CommitTicket::wait` calls.
-    pub waits: u64,
-    /// Total nanoseconds ticket waiters spent blocked on durability.
-    pub flush_wait_ns: u64,
-    /// Times `execute` parked on a full uninstalled window.
-    pub backpressure_waits: u64,
+llog_storage::metrics_table! {
+    /// Live group-commit counters for one shard's commit pipeline.
+    pub struct ShardCounters;
+    /// Point-in-time counters for the group-commit pipeline, merged across
+    /// shards (or for one shard).
+    pub struct GroupCommitSnapshot {
+        /// Batched forces performed by shard flushers.
+        batches: Counter,
+        /// Operations those batched forces covered.
+        batched_ops: Counter,
+        /// Largest single batch observed on any shard.
+        max_batch: GaugeMax,
+        /// Synchronous one-op commits (under `CommitPolicy::Sync`).
+        sync_commits: Counter,
+        /// Completed `CommitTicket::wait` calls.
+        waits: Counter,
+        /// Total nanoseconds ticket waiters spent blocked on durability.
+        flush_wait_ns: Counter,
+        /// Times `execute` parked on a full uninstalled window.
+        backpressure_waits: Counter,
+    }
+    json_extra: GroupCommitSnapshot::write_means;
 }
 
 impl GroupCommitSnapshot {
@@ -43,36 +47,14 @@ impl GroupCommitSnapshot {
         }
     }
 
-    /// Field-wise sum (`max_batch` takes the max), for cross-shard
-    /// aggregation.
-    pub fn merged(&self, other: &GroupCommitSnapshot) -> GroupCommitSnapshot {
-        GroupCommitSnapshot {
-            batches: self.batches + other.batches,
-            batched_ops: self.batched_ops + other.batched_ops,
-            max_batch: self.max_batch.max(other.max_batch),
-            sync_commits: self.sync_commits + other.sync_commits,
-            waits: self.waits + other.waits,
-            flush_wait_ns: self.flush_wait_ns + other.flush_wait_ns,
-            backpressure_waits: self.backpressure_waits + other.backpressure_waits,
-        }
-    }
-
-    /// One flat JSON object (fixed keys, no external serializer).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"batches\":{},\"batched_ops\":{},\"max_batch\":{},\
-             \"sync_commits\":{},\"waits\":{},\"flush_wait_ns\":{},\
-             \"backpressure_waits\":{},\"mean_batch\":{:.2},\"mean_wait_ns\":{:.1}}}",
-            self.batches,
-            self.batched_ops,
-            self.max_batch,
-            self.sync_commits,
-            self.waits,
-            self.flush_wait_ns,
-            self.backpressure_waits,
+    /// The derived means, appended to [`to_json`](Self::to_json).
+    fn write_means(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            ",\"mean_batch\":{:.2},\"mean_wait_ns\":{:.1}",
             self.mean_batch(),
-            self.mean_wait_ns(),
-        )
+            self.mean_wait_ns()
+        );
     }
 }
 
@@ -81,16 +63,32 @@ impl GroupCommitSnapshot {
 pub struct ShardedSnapshot {
     /// Number of shards.
     pub shards: usize,
-    /// Per-shard storage/log ledgers summed (see
+    /// Per-shard storage/log ledgers merged field by field (see
     /// [`MetricsSnapshot::merged`]).
     pub aggregate: MetricsSnapshot,
-    /// Group-commit pipeline counters summed across shards.
+    /// Group-commit pipeline counters merged across shards.
     pub group_commit: GroupCommitSnapshot,
     /// Each shard's own ledger, in shard order.
     pub per_shard: Vec<MetricsSnapshot>,
 }
 
 impl ShardedSnapshot {
+    /// Assemble from each shard's ledger; `aggregate` is their merge.
+    pub fn from_shards(
+        per_shard: Vec<MetricsSnapshot>,
+        group_commit: GroupCommitSnapshot,
+    ) -> ShardedSnapshot {
+        let aggregate = per_shard
+            .iter()
+            .fold(MetricsSnapshot::default(), |acc, m| acc.merged(m));
+        ShardedSnapshot {
+            shards: per_shard.len(),
+            aggregate,
+            group_commit,
+            per_shard,
+        }
+    }
+
     /// One JSON document:
     /// `{"shards":N,"aggregate":{...},"group_commit":{...},"per_shard":[...]}`.
     pub fn to_json(&self) -> String {
@@ -151,6 +149,25 @@ mod tests {
         let z = GroupCommitSnapshot::default();
         assert_eq!(z.mean_batch(), 0.0);
         assert_eq!(z.mean_wait_ns(), 0.0);
+    }
+
+    #[test]
+    fn group_commit_json_appends_the_means() {
+        let s = GroupCommitSnapshot {
+            batches: 2,
+            batched_ops: 5,
+            max_batch: 4,
+            sync_commits: 0,
+            waits: 3,
+            flush_wait_ns: 10,
+            backpressure_waits: 1,
+        };
+        assert_eq!(
+            s.to_json(),
+            "{\"batches\":2,\"batched_ops\":5,\"max_batch\":4,\"sync_commits\":0,\
+             \"waits\":3,\"flush_wait_ns\":10,\"backpressure_waits\":1,\
+             \"mean_batch\":2.50,\"mean_wait_ns\":3.3}"
+        );
     }
 
     #[test]

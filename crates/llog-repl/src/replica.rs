@@ -43,7 +43,9 @@ use std::time::Duration;
 use llog_core::{
     recover_with, Engine, EngineConfig, RecoveryOptions, RedoPolicy, RedoSession, ReplicaReader,
 };
-use llog_engine::{ShardRouter, ShardedConfig, ShardedEngine};
+use llog_engine::{
+    GroupCommitSnapshot, ShardRouter, ShardedConfig, ShardedEngine, ShardedSnapshot,
+};
 use llog_ops::{builtin, OpKind, Transform, TransformRegistry};
 use llog_server::proto::{
     decode_request, encode_response, read_frame, write_frame, ErrCode, Request, Response, StatsBody,
@@ -679,79 +681,36 @@ fn err(req_id: u64, code: ErrCode, message: String) -> Response {
 }
 
 fn stats_body(state: &Arc<State>) -> StatsBody {
-    let chunks = state.chunks_received.load(Ordering::Relaxed);
-    let bytes = state.bytes_received.load(Ordering::Relaxed);
-    match &*lock(&state.role) {
-        Role::Standby(sessions) => StatsBody {
-            shards: sessions.len() as u32,
-            batches: 0,
-            batched_ops: 0,
-            backpressure_waits: 0,
-            repl_segments_shipped: chunks,
-            repl_bytes_shipped: bytes,
-            // Frames held above the watermark (a partial tail frame
-            // awaiting completion counts zero).
-            repl_replay_lag_frames: sessions
+    let mut snap = match &*lock(&state.role) {
+        Role::Standby(sessions) => {
+            let per_shard = sessions
                 .iter()
-                .map(|s| s.engine().wal().frames_from(s.watermark()))
-                .sum(),
-            repl_watermark_lsn: sessions.iter().map(|s| s.watermark().0).max().unwrap_or(0),
-            forces_coalesced: 0,
-            io_fsyncs: 0,
-            reads_snapshot: sessions
-                .iter()
-                .map(|s| s.engine().metrics().snapshot().reads_snapshot)
-                .sum(),
-            versions_retained: sessions
-                .iter()
-                .map(|s| s.engine().metrics().snapshot().versions_retained)
-                .sum(),
-            versions_gced: sessions
-                .iter()
-                .map(|s| s.engine().metrics().snapshot().versions_gced)
-                .sum(),
-            snapshot_oldest_si: sessions
-                .iter()
-                .map(|s| s.engine().metrics().snapshot().snapshot_oldest_si)
-                .max()
-                .unwrap_or(0),
-            // A standby never logs: its WAL grows by shipped bytes, not
-            // by `execute`, so the hybrid-logging counters stay zero.
-            log_records_logical: 0,
-            log_records_physical: 0,
-            log_bytes_logical: 0,
-            log_bytes_physical: 0,
-            ckpt_ops_converted: 0,
-        },
-        Role::Promoted(engine) => {
-            let snap = engine.metrics_snapshot();
-            StatsBody {
-                shards: snap.shards as u32,
-                batches: snap.group_commit.batches,
-                batched_ops: snap.group_commit.batched_ops,
-                backpressure_waits: snap.group_commit.backpressure_waits,
-                repl_segments_shipped: chunks,
-                repl_bytes_shipped: bytes,
-                repl_replay_lag_frames: 0,
-                repl_watermark_lsn: (0..engine.shards())
-                    .map(|i| engine.durable_lsn(i).0)
-                    .max()
-                    .unwrap_or(0),
-                forces_coalesced: snap.aggregate.forces_coalesced,
-                io_fsyncs: snap.aggregate.io_fsyncs,
-                reads_snapshot: snap.aggregate.reads_snapshot,
-                versions_retained: snap.aggregate.versions_retained,
-                versions_gced: snap.aggregate.versions_gced,
-                snapshot_oldest_si: snap.aggregate.snapshot_oldest_si,
-                log_records_logical: snap.aggregate.log_records_logical,
-                log_records_physical: snap.aggregate.log_records_physical,
-                log_bytes_logical: snap.aggregate.log_bytes_logical,
-                log_bytes_physical: snap.aggregate.log_bytes_physical,
-                ckpt_ops_converted: snap.aggregate.ckpt_ops_converted,
-            }
+                .map(|s| {
+                    let mut m = s.engine().metrics().snapshot();
+                    // Frames held above the watermark (a partial tail frame
+                    // awaiting completion counts zero).
+                    m.repl_replay_lag_frames = s.engine().wal().frames_from(s.watermark());
+                    m.repl_watermark_lsn = s.watermark().0;
+                    m
+                })
+                .collect();
+            ShardedSnapshot::from_shards(per_shard, GroupCommitSnapshot::default())
         }
-        Role::Draining => StatsBody::default(),
-    }
+        Role::Promoted(engine) => {
+            let mut snap = engine.metrics_snapshot();
+            snap.aggregate.repl_replay_lag_frames = 0;
+            snap.aggregate.repl_watermark_lsn = (0..engine.shards())
+                .map(|i| engine.durable_lsn(i).0)
+                .max()
+                .unwrap_or(0);
+            snap
+        }
+        Role::Draining => return StatsBody::default(),
+    };
+    // A replica reports the log it received rather than shipped.
+    snap.aggregate.repl_segments_shipped = state.chunks_received.load(Ordering::Relaxed);
+    snap.aggregate.repl_bytes_shipped = state.bytes_received.load(Ordering::Relaxed);
+    StatsBody::from_snapshot(&snap)
 }
 
 /// Promote this replica to primary (module docs: catch-up rules).

@@ -59,6 +59,7 @@ mod tests {
     use super::*;
     use llog_engine::{recover_sharded, ShardedEngine};
     use llog_ops::TransformRegistry;
+    use llog_storage::metrics::{Kind, Registry};
     use llog_types::{ObjectId, Value};
 
     fn start_default(shards: usize) -> (Server, TransformRegistry) {
@@ -66,6 +67,96 @@ mod tests {
         let engine = ShardedEngine::new(boot::server_engine_config(shards), &registry);
         let server = Server::start(engine, ServerConfig::default()).unwrap();
         (server, registry)
+    }
+
+    /// Check that family `R` follows the rule of every field's kind, through
+    /// `to_json`, `merged`, `since`, `record` and `reset`. Panics with the
+    /// offending field on the first violation.
+    fn check_kind_rules<R: Registry>() {
+        let n = R::SCHEMA.len() as u64;
+        // Distinct, non-zero values with `a < b` in every field.
+        let a = R::from_values(&(0..n).map(|i| 10 + i).collect::<Vec<_>>());
+        let b = R::from_values(&(0..n).map(|i| 1_000 + 3 * i).collect::<Vec<_>>());
+        let big = R::from_values(&vec![u64::MAX; n as usize]);
+        let (va, vb) = (R::values(&a), R::values(&b));
+        let merged = [R::merged(&a, &b), R::merged(&b, &a)].map(|s| R::values(&s));
+        let (since_ab, since_ba) = (R::values(&R::since(&b, &a)), R::values(&R::since(&a, &b)));
+        let saturated = R::values(&R::merged(&big, &b));
+        let json = R::to_json(&a);
+        let mut at = 1;
+        for (i, &(name, kind)) in R::SCHEMA.iter().enumerate() {
+            let named = R::SCHEMA.iter().filter(|(other, _)| *other == name);
+            assert_eq!(named.count(), 1, "{name} declared once");
+            let pair = format!("\"{name}\":{}", va[i]);
+            assert_eq!(
+                json.get(at..at + pair.len()),
+                Some(&*pair),
+                "{name} in {json}"
+            );
+            at += pair.len() + 1;
+            let (x, y) = (va[i], vb[i]);
+            let want = match kind {
+                Kind::Counter => (x + y, y - x, 0),
+                Kind::GaugeSum => (x + y, y, x),
+                Kind::GaugeMax => (y, y, x),
+            };
+            let got = (merged[0][i], since_ab[i], since_ba[i]);
+            assert_eq!(got, want, "(merged, since) of {name} ({kind:?})");
+            assert_eq!(merged[1][i], want.0, "merged of {name} commutes");
+            assert_eq!(saturated[i], u64::MAX, "merged {name} saturates");
+        }
+        assert!(json.ends_with('}'), "{json}");
+        // Live cells: counters accumulate, gauges keep the last level.
+        let cells = R::default();
+        cells.record(&a);
+        assert_eq!(cells.snapshot(), a);
+        cells.record(&b);
+        let recorded = R::values(&cells.snapshot());
+        for (i, &(name, kind)) in R::SCHEMA.iter().enumerate() {
+            let want = if kind == Kind::Counter {
+                va[i] + vb[i]
+            } else {
+                vb[i]
+            };
+            assert_eq!(recorded[i], want, "recorded {name} ({kind:?})");
+        }
+        cells.reset();
+        assert_eq!(
+            cells.snapshot(),
+            R::Snapshot::default(),
+            "reset zeroes every field"
+        );
+    }
+
+    /// Every counter family of the system, walked field by field: each
+    /// follows its kind's merge/delta/reset rule, and the gauges are
+    /// exactly the level fields.
+    #[test]
+    fn every_metric_table_follows_its_kind_rules() {
+        check_kind_rules::<llog_storage::Metrics>();
+        check_kind_rules::<llog_engine::ShardCounters>();
+        check_kind_rules::<server::Counters>();
+        let gauges: Vec<_> = [
+            llog_storage::Metrics::SCHEMA,
+            llog_engine::ShardCounters::SCHEMA,
+            server::Counters::SCHEMA,
+        ]
+        .iter()
+        .flat_map(|table| table.iter())
+        .filter(|(_, kind)| *kind != Kind::Counter)
+        .copied()
+        .collect();
+        assert_eq!(
+            gauges,
+            [
+                ("recovery_parallel_workers", Kind::GaugeMax),
+                ("repl_replay_lag_frames", Kind::GaugeSum),
+                ("repl_watermark_lsn", Kind::GaugeMax),
+                ("versions_retained", Kind::GaugeSum),
+                ("snapshot_oldest_si", Kind::GaugeMax),
+                ("max_batch", Kind::GaugeMax),
+            ]
+        );
     }
 
     #[test]

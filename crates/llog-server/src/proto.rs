@@ -27,6 +27,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 
+use llog_engine::ShardedSnapshot;
 use llog_types::{crc32c, ByteReader, ByteWriter, LlogError, Lsn, ObjectId, Result};
 
 /// Frame magic: `"LLOG"` read as a little-endian `u32`.
@@ -175,51 +176,112 @@ impl ErrCode {
     }
 }
 
-/// Group-commit counters reported by [`Response::Stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsBody {
-    /// Number of shards serving.
-    pub shards: u32,
+/// Declares [`StatsBody`] from one field list. Each line names a counter,
+/// the [`ShardedSnapshot`] part it is read from (`group_commit` or
+/// `aggregate`, so it merges across shards by its registry kind) and the
+/// `llogtool` output line it prints on. The list order is the wire order.
+macro_rules! stats_body {
+    ($( $(#[doc = $doc:literal])* $name:ident: $part:ident => $line:literal, )*) => {
+        /// Counters reported by [`Response::Stats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsBody {
+            /// Number of shards serving.
+            pub shards: u32,
+            $( $(#[doc = $doc])* pub $name: u64, )*
+        }
+
+        impl StatsBody {
+            /// Number of counters.
+            const LEN: usize = [$(stringify!($name)),*].len();
+
+            /// Encoded size: the `u32` shard count, then one `u64` per
+            /// counter.
+            const ENCODED_LEN: usize = 4 + 8 * Self::LEN;
+
+            /// The body a server reports for `snap`.
+            pub fn from_snapshot(snap: &ShardedSnapshot) -> StatsBody {
+                StatsBody {
+                    shards: snap.shards as u32,
+                    $( $name: snap.$part.$name, )*
+                }
+            }
+
+            /// Every counter as `(output line, name, value)`, in wire order.
+            pub fn fields(&self) -> [(&'static str, &'static str, u64); Self::LEN] {
+                [$( ($line, stringify!($name), self.$name), )*]
+            }
+
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.put_u32_le(self.shards);
+                $( out.put_u64_le(self.$name); )*
+            }
+
+            fn decode(buf: &mut &[u8]) -> Result<StatsBody> {
+                need(buf, Self::ENCODED_LEN, "stats body")?;
+                Ok(StatsBody {
+                    shards: buf.get_u32_le(),
+                    $( $name: buf.get_u64_le(), )*
+                })
+            }
+        }
+    };
+}
+
+stats_body! {
     /// Batched forces performed by shard flushers.
-    pub batches: u64,
+    batches: group_commit => "server",
     /// Operations those batched forces covered.
-    pub batched_ops: u64,
+    batched_ops: group_commit => "server",
     /// Times `execute` parked on a full uninstalled window.
-    pub backpressure_waits: u64,
-    /// Log-shipping chunks served to replicas.
-    pub repl_segments_shipped: u64,
-    /// Stable log bytes shipped to replicas.
-    pub repl_bytes_shipped: u64,
+    backpressure_waits: group_commit => "server",
+    /// Log-shipping chunks served to replicas (on a replica, received).
+    repl_segments_shipped: aggregate => "lag",
+    /// Stable log bytes shipped to replicas (on a replica, received).
+    repl_bytes_shipped: aggregate => "lag",
     /// Complete frames between the reported replica watermark and the
-    /// stable end (max across shards).
-    pub repl_replay_lag_frames: u64,
+    /// stable end (summed across shards).
+    repl_replay_lag_frames: aggregate => "lag",
     /// Last replayed-LSN watermark reported by a replica (max across
     /// shards; on a replica server, its own watermark).
-    pub repl_watermark_lsn: u64,
+    repl_watermark_lsn: aggregate => "lag",
     /// Forces that rode another shard's fsync barrier instead of paying
     /// their own (cross-shard coalescing).
-    pub forces_coalesced: u64,
+    forces_coalesced: aggregate => "server",
     /// Device fsync barriers actually issued.
-    pub io_fsyncs: u64,
+    io_fsyncs: aggregate => "server",
     /// Reads served through the lock-free MVCC snapshot path.
-    pub reads_snapshot: u64,
+    reads_snapshot: aggregate => "mvcc",
     /// Versions currently retained across all shards' version chains.
-    pub versions_retained: u64,
+    versions_retained: aggregate => "mvcc",
     /// Versions reclaimed by the retention GC.
-    pub versions_gced: u64,
+    versions_gced: aggregate => "mvcc",
     /// The GC floor: oldest SI any snapshot can still resolve (max across
     /// shards — per-shard LSNs, like the replica watermark).
-    pub snapshot_oldest_si: u64,
+    snapshot_oldest_si: aggregate => "mvcc",
     /// Operations logged as logical `Op` records (hybrid logging).
-    pub log_records_logical: u64,
+    log_records_logical: aggregate => "hybrid",
     /// Operations logged as physical-result records (hybrid logging).
-    pub log_records_physical: u64,
+    log_records_physical: aggregate => "hybrid",
     /// Log bytes spent on logical records.
-    pub log_bytes_logical: u64,
+    log_bytes_logical: aggregate => "hybrid",
     /// Log bytes spent on physical-result + conversion records.
-    pub log_bytes_physical: u64,
+    log_bytes_physical: aggregate => "hybrid",
     /// Cold logical ops converted to physical form at checkpoints.
-    pub ckpt_ops_converted: u64,
+    ckpt_ops_converted: aggregate => "hybrid",
+}
+
+impl StatsBody {
+    /// The counters of one output `line`, as `name=value` pairs separated
+    /// by spaces, in wire order.
+    pub fn line(&self, line: &str) -> String {
+        let pairs: Vec<String> = self
+            .fields()
+            .iter()
+            .filter(|(l, _, _)| *l == line)
+            .map(|(_, name, value)| format!("{name}={value}"))
+            .collect();
+        pairs.join(" ")
+    }
 }
 
 /// What the server answers. `req_id` always echoes the request's.
@@ -539,25 +601,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Stats { req_id, body } => {
             out.put_u8(T_STATS_R);
             out.put_u64_le(*req_id);
-            out.put_u32_le(body.shards);
-            out.put_u64_le(body.batches);
-            out.put_u64_le(body.batched_ops);
-            out.put_u64_le(body.backpressure_waits);
-            out.put_u64_le(body.repl_segments_shipped);
-            out.put_u64_le(body.repl_bytes_shipped);
-            out.put_u64_le(body.repl_replay_lag_frames);
-            out.put_u64_le(body.repl_watermark_lsn);
-            out.put_u64_le(body.forces_coalesced);
-            out.put_u64_le(body.io_fsyncs);
-            out.put_u64_le(body.reads_snapshot);
-            out.put_u64_le(body.versions_retained);
-            out.put_u64_le(body.versions_gced);
-            out.put_u64_le(body.snapshot_oldest_si);
-            out.put_u64_le(body.log_records_logical);
-            out.put_u64_le(body.log_records_physical);
-            out.put_u64_le(body.log_bytes_logical);
-            out.put_u64_le(body.log_bytes_physical);
-            out.put_u64_le(body.ckpt_ops_converted);
+            body.encode(&mut out);
         }
         Response::Err {
             req_id,
@@ -629,33 +673,10 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
             value: get_bytes(&mut buf, "value bytes")?,
         },
         T_OK => Response::Ok { req_id },
-        T_STATS_R => {
-            need(&buf, 4 + 8 * 18, "stats body")?;
-            Response::Stats {
-                req_id,
-                body: StatsBody {
-                    shards: buf.get_u32_le(),
-                    batches: buf.get_u64_le(),
-                    batched_ops: buf.get_u64_le(),
-                    backpressure_waits: buf.get_u64_le(),
-                    repl_segments_shipped: buf.get_u64_le(),
-                    repl_bytes_shipped: buf.get_u64_le(),
-                    repl_replay_lag_frames: buf.get_u64_le(),
-                    repl_watermark_lsn: buf.get_u64_le(),
-                    forces_coalesced: buf.get_u64_le(),
-                    io_fsyncs: buf.get_u64_le(),
-                    reads_snapshot: buf.get_u64_le(),
-                    versions_retained: buf.get_u64_le(),
-                    versions_gced: buf.get_u64_le(),
-                    snapshot_oldest_si: buf.get_u64_le(),
-                    log_records_logical: buf.get_u64_le(),
-                    log_records_physical: buf.get_u64_le(),
-                    log_bytes_logical: buf.get_u64_le(),
-                    log_bytes_physical: buf.get_u64_le(),
-                    ckpt_ops_converted: buf.get_u64_le(),
-                },
-            }
-        }
+        T_STATS_R => Response::Stats {
+            req_id,
+            body: StatsBody::decode(&mut buf)?,
+        },
         T_ERR => {
             need(&buf, 1, "error code")?;
             let code = ErrCode::from_u8(buf.get_u8())
@@ -812,6 +833,74 @@ mod tests {
     use super::*;
     use llog_testkit::prop::{run_property, vec, Config};
     use llog_testkit::TestRng;
+
+    /// The `Stats` response layout, byte for byte: tag 4, `req_id`, the
+    /// `u32` shard count, then the counters as `u64` LE in this order.
+    #[test]
+    fn stats_wire_bytes_are_pinned() {
+        let body = StatsBody {
+            shards: 3,
+            batches: 1,
+            batched_ops: 2,
+            backpressure_waits: 3,
+            repl_segments_shipped: 4,
+            repl_bytes_shipped: 5,
+            repl_replay_lag_frames: 6,
+            repl_watermark_lsn: 7,
+            forces_coalesced: 8,
+            io_fsyncs: 9,
+            reads_snapshot: 10,
+            versions_retained: 11,
+            versions_gced: 12,
+            snapshot_oldest_si: 13,
+            log_records_logical: 14,
+            log_records_physical: 15,
+            log_bytes_logical: 16,
+            log_bytes_physical: 17,
+            ckpt_ops_converted: 18,
+        };
+        let resp = Response::Stats {
+            req_id: 0x0102,
+            body,
+        };
+        let mut want = vec![4u8, 0x02, 0x01, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0];
+        for v in 1..=18u64 {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(encode_response(&resp), want);
+        assert_eq!(decode_response(&want).unwrap(), resp);
+        // One byte short is a codec error, never a panic.
+        assert!(decode_response(&want[..want.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn stats_lines_group_the_counters() {
+        let body = StatsBody {
+            shards: 2,
+            batches: 5,
+            repl_watermark_lsn: 9,
+            ckpt_ops_converted: 1,
+            ..StatsBody::default()
+        };
+        assert_eq!(
+            body.line("server"),
+            "batches=5 batched_ops=0 backpressure_waits=0 forces_coalesced=0 io_fsyncs=0"
+        );
+        assert_eq!(
+            body.line("lag"),
+            "repl_segments_shipped=0 repl_bytes_shipped=0 repl_replay_lag_frames=0 \
+             repl_watermark_lsn=9"
+        );
+        let every: usize = ["server", "lag", "mvcc", "hybrid"]
+            .iter()
+            .map(|l| body.line(l).split(' ').count())
+            .sum();
+        assert_eq!(
+            every,
+            body.fields().len(),
+            "every counter prints on one line"
+        );
+    }
 
     fn sample_requests() -> Vec<Request> {
         vec![

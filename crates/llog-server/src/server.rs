@@ -142,26 +142,21 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic counters for observability and the chaos oracle.
-#[derive(Debug, Default)]
-struct Counters {
-    accepted: AtomicU64,
-    requests: AtomicU64,
-    protocol_errors: AtomicU64,
-    dropped_conns: AtomicU64,
-}
-
-/// Snapshot of a server's connection/request counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerCounters {
-    /// Connections accepted.
-    pub accepted: u64,
-    /// Requests decoded and executed.
-    pub requests: u64,
-    /// Connections closed on a `Codec` violation (bad magic/crc/tag).
-    pub protocol_errors: u64,
-    /// Connections that died mid-frame (`Io`).
-    pub dropped_conns: u64,
+llog_storage::metrics_table! {
+    /// Live connection/request counters, for observability and the chaos
+    /// oracle.
+    pub(crate) struct Counters;
+    /// Snapshot of a server's connection/request counters.
+    pub struct ServerCounters {
+        /// Connections accepted.
+        accepted: Counter,
+        /// Requests decoded and executed.
+        requests: Counter,
+        /// Connections closed on a `Codec` violation (bad magic/crc/tag).
+        protocol_errors: Counter,
+        /// Connections that died mid-frame (`Io`).
+        dropped_conns: Counter,
+    }
 }
 
 /// One completion, queued in request order.
@@ -346,13 +341,7 @@ impl Server {
 
     /// Connection/request counters so far.
     pub fn counters(&self) -> ServerCounters {
-        let c = &self.inner.counters;
-        ServerCounters {
-            accepted: c.accepted.load(Ordering::Relaxed),
-            requests: c.requests.load(Ordering::Relaxed),
-            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
-            dropped_conns: c.dropped_conns.load(Ordering::Relaxed),
-        }
+        self.inner.counters.snapshot()
     }
 
     /// Graceful drain: stop accepting, half-close every connection, force
@@ -427,7 +416,7 @@ fn acceptor_loop(listener: &TcpListener, inner: &Arc<Inner>) {
         if inner.stopping.load(Ordering::SeqCst) {
             return; // the wake-up connect, or a straggler during drain
         }
-        inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
+        inner.counters.accepted.add(1);
         let _ = stream.set_nodelay(true);
         if let Ok(clone) = stream.try_clone() {
             lock(&inner.conns).push(clone);
@@ -469,28 +458,22 @@ fn reader_loop(inner: &Arc<Inner>, queue: &ConnQueue, stream: TcpStream) {
             Ok(Some(p)) => p,
             Ok(None) => return, // clean close
             Err(LlogError::Codec { .. }) => {
-                inner
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
+                inner.counters.protocol_errors.add(1);
                 return;
             }
             Err(_) => {
-                inner.counters.dropped_conns.fetch_add(1, Ordering::Relaxed);
+                inner.counters.dropped_conns.add(1);
                 return;
             }
         };
         let req = match decode_request(&payload) {
             Ok(req) => req,
             Err(_) => {
-                inner
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
+                inner.counters.protocol_errors.add(1);
                 return;
             }
         };
-        inner.counters.requests.fetch_add(1, Ordering::Relaxed);
+        inner.counters.requests.add(1);
         if inner.stopping.load(Ordering::SeqCst) {
             let resp = Response::Err {
                 req_id: req_id_of(&req),
@@ -563,33 +546,10 @@ fn execute_request(inner: &Arc<Inner>, shipping: &mut ShippingState, req: Reques
                 message: e.to_string(),
             }),
         },
-        Request::Stats { req_id } => {
-            let snap = inner.engine.metrics_snapshot();
-            Pending::Ready(Response::Stats {
-                req_id,
-                body: StatsBody {
-                    shards: snap.shards as u32,
-                    batches: snap.group_commit.batches,
-                    batched_ops: snap.group_commit.batched_ops,
-                    backpressure_waits: snap.group_commit.backpressure_waits,
-                    repl_segments_shipped: snap.aggregate.repl_segments_shipped,
-                    repl_bytes_shipped: snap.aggregate.repl_bytes_shipped,
-                    repl_replay_lag_frames: snap.aggregate.repl_replay_lag_frames,
-                    repl_watermark_lsn: snap.aggregate.repl_watermark_lsn,
-                    forces_coalesced: snap.aggregate.forces_coalesced,
-                    io_fsyncs: snap.aggregate.io_fsyncs,
-                    reads_snapshot: snap.aggregate.reads_snapshot,
-                    versions_retained: snap.aggregate.versions_retained,
-                    versions_gced: snap.aggregate.versions_gced,
-                    snapshot_oldest_si: snap.aggregate.snapshot_oldest_si,
-                    log_records_logical: snap.aggregate.log_records_logical,
-                    log_records_physical: snap.aggregate.log_records_physical,
-                    log_bytes_logical: snap.aggregate.log_bytes_logical,
-                    log_bytes_physical: snap.aggregate.log_bytes_physical,
-                    ckpt_ops_converted: snap.aggregate.ckpt_ops_converted,
-                },
-            })
-        }
+        Request::Stats { req_id } => Pending::Ready(Response::Stats {
+            req_id,
+            body: StatsBody::from_snapshot(&inner.engine.metrics_snapshot()),
+        }),
         Request::Ping { req_id } => Pending::Ready(Response::Ok { req_id }),
         Request::Shutdown { req_id } => {
             inner.shutdown_requested.store(true, Ordering::SeqCst);
