@@ -47,7 +47,7 @@ fn main() {
     println!("{}", llog_bench::e11_sharding::batch_table(&e11));
     let p12 = llog_bench::e12_recovery_speed::Params::from_env();
     let e12 = llog_bench::e12_recovery_speed::run(&p12);
-    println!("== E12 — recovery modes + shared-pool sharded recovery ==");
+    println!("== E12 — serial vs parallel redo + shared-pool sharded recovery ==");
     println!("{}", llog_bench::e12_recovery_speed::modes_table(&e12));
     println!("{}", llog_bench::e12_recovery_speed::sharded_table(&e12));
     let p13 = llog_bench::e13_backend_cost::Params::from_env();

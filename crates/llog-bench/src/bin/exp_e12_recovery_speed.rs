@@ -1,4 +1,4 @@
-//! E12: recovery speed — serial vs single-pass vs parallel redo.
+//! E12: recovery speed — serial vs parallel redo.
 //!
 //! Writes `BENCH_e12.json` (override the path with `LLOG_BENCH_JSON`);
 //! `LLOG_BENCH_FAST=1` shrinks the workload for CI smoke runs.
@@ -8,21 +8,17 @@ use llog_bench::e12_recovery_speed::{modes_table, run, sharded_table, Params};
 fn main() {
     let p = Params::from_env();
     println!(
-        "E12 — recovery modes: {} ops/component, {:?} simulated replay \
+        "E12 — recovery speed: {} ops/component, {:?} simulated replay \
          latency, {} redo workers",
         p.ops_per_component, p.op_latency, p.workers
     );
     let report = run(&p);
 
-    println!("\nPart A — recovery wall-clock by mode and component count:");
+    println!("\nPart A — recovery wall-clock by worker count and component count:");
     println!("{}", modes_table(&report));
     println!(
         "speedup at 4 components, serial vs parallel: {:.2}x (target > 2x)",
         report.speedup_4c()
-    );
-    println!(
-        "single-pass decodes each stable record once: {}",
-        report.single_decode_ok()
     );
 
     println!("\nPart B — shared-pool sharded recovery:");

@@ -19,10 +19,10 @@
 //! - no mangled persist image is ever silently accepted (CRC rejects
 //!   bit-rot; loads either fail or return the exact saved state);
 //! - sharded logs stay disjoint per the router;
-//! - differential mode oracle: every crashed image recovers to the same
-//!   store, dirty table, live-op set and [`RecoveryOutcome`] under
-//!   `RecoveryMode::Serial` and `RecoveryMode::Parallel` (and if one mode
-//!   rejects the image, so does the other);
+//! - differential worker oracle: every crashed image recovers to the same
+//!   store, dirty table, live-op set and [`RecoveryOutcome`] with one
+//!   replay worker (the serial loop) and with three (the conflict-component
+//!   pool), and if one rejects the image, so does the other;
 //! - replication divergence oracle (mode 6): under lost, duplicated and
 //!   reordered segment delivery, replica crashes mid-redo and promotion
 //!   at an arbitrary shipping cut, the promoted replica's visible state
@@ -66,10 +66,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use llog_core::{
-    recover, recover_with, Engine, EngineConfig, RecoveryMode, RecoveryOptions, RecoveryOutcome,
-    RedoPolicy,
-};
+use llog_core::{recover, recover_with, Engine, EngineConfig, RecoveryOutcome, RedoPolicy};
 use llog_domains::app::{Application, WriteMode};
 use llog_domains::btree::BTree;
 use llog_domains::fs::FileSystem;
@@ -333,9 +330,9 @@ fn engine_fingerprint(e: &Engine) -> String {
     )
 }
 
-/// Differential mode oracle: recover clones of the crashed image under
-/// `Serial` and `Parallel` and demand byte-identical stores and equal
-/// [`RecoveryOutcome`]s. If one mode errors, the other must error too.
+/// Differential worker oracle: recover clones of the crashed image with one
+/// and with three replay workers and demand byte-identical stores and equal
+/// [`RecoveryOutcome`]s. If one recovery errors, the other must error too.
 fn check_mode_divergence(
     store: &llog_storage::StableStore,
     wal: &llog_wal::Wal,
@@ -349,7 +346,7 @@ fn check_mode_divergence(
         registry.clone(),
         config,
         policy,
-        RecoveryOptions::serial(),
+        1,
     );
     let parallel = recover_with(
         store.clone(),
@@ -357,12 +354,7 @@ fn check_mode_divergence(
         registry.clone(),
         config,
         policy,
-        RecoveryOptions {
-            mode: RecoveryMode::Parallel,
-            workers: Some(3),
-            decode_batch: 4,
-            ..RecoveryOptions::default()
-        },
+        3,
     );
     match (serial, parallel) {
         (Ok((se, so)), Ok((pe, po))) => {
@@ -388,8 +380,8 @@ fn check_mode_divergence(
     }
 }
 
-/// [`check_mode_divergence`], then the default (single-pass) recovery of
-/// the original parts.
+/// [`check_mode_divergence`], then the default (serial) recovery of the
+/// original parts.
 fn recover_modes(
     store: llog_storage::StableStore,
     wal: llog_wal::Wal,
@@ -1949,7 +1941,7 @@ fn fuzz_snapshot(n_ops: usize, material: u64) -> Result<(), String> {
 /// mid-run checkpoint (exercising checkpoint-time conversion) and crash
 /// shape for each. Oracles:
 ///
-/// - per policy: serial/single-pass/parallel recoveries agree
+/// - per policy: serial and parallel recoveries agree
 ///   ([`recover_modes`]), the recovered state matches the stable-log
 ///   replay oracle, surfaces a workload prefix `k ≥ acked`, and recovery
 ///   is idempotent;

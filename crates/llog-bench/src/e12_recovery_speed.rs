@@ -1,16 +1,12 @@
-//! E12 — recovery speed: serial vs single-pass vs parallel redo.
+//! E12 — recovery speed: serial vs parallel redo.
 //!
-//! The single-pass pipeline fuses analysis and redo over one log scan
-//! (retained ops ride an in-memory ring, so stable bytes are decoded
-//! once), and the parallel mode partitions retained ops into conflict
-//! components (union–find over `readset ∪ writeset`) replayed on a worker
-//! pool. Two measured claims:
+//! Recovery replays serially with one worker; with more, it partitions
+//! the redo range's ops into conflict components (union–find over
+//! `readset ∪ writeset`) replayed on a worker pool. Two measured claims:
 //!
-//! - **Part A (modes)**: on a k-component workload whose transform has a
-//!   simulated per-op replay latency, parallel redo overlaps the latency
-//!   across components — ≥2x faster than serial at 4 components — while
-//!   single-pass eliminates the second decode (`records_decoded ==
-//!   analysis_scanned`).
+//! - **Part A (workers)**: on a k-component workload whose transform has
+//!   a simulated per-op replay latency, parallel redo overlaps the latency
+//!   across components — ≥2x faster than serial at 4 components.
 //! - **Part B (shards)**: [`recover_sharded`](llog_engine::recover_sharded)
 //!   drains shard recoveries from a shared pool; with per-shard logs
 //!   carrying the same latency-bound work, 4 shards recover faster than
@@ -28,7 +24,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use llog_core::{recover_with, Engine, RecoveryMode, RecoveryOptions, RedoPolicy};
+use llog_core::{recover_with, Engine, RedoPolicy};
 use llog_engine::{recover_sharded_with, CommitPolicy, ShardedConfig, ShardedEngine};
 use llog_ops::{OpKind, Transform, TransformFn, TransformRegistry};
 use llog_sim::Table;
@@ -142,12 +138,14 @@ pub fn component_workload(components: usize, p: &Params) -> (StableStore, Wal) {
     e.crash()
 }
 
-/// One Part A row: recovery of a `components`-chain image under `mode`.
+/// One Part A row: recovery of a `components`-chain image with a given
+/// replay worker count.
 #[derive(Debug, Clone)]
 pub struct ModeRow {
     /// Conflict components in the workload.
     pub components: usize,
-    /// Mode label (`serial`, `single_pass`, `parallel`).
+    /// Row label: `serial` (one worker) or `parallel`
+    /// ([`Params::workers`]).
     pub mode: String,
     /// Recovery wall-clock.
     pub elapsed_ns: u64,
@@ -157,24 +155,22 @@ pub struct ModeRow {
     pub redo_scanned: u64,
     /// Log records decoded end to end (`recovery_records_decoded`).
     pub records_decoded: u64,
-    /// Ops replayed straight from the analysis ring.
-    pub ring_reused: u64,
-    /// Conflict components the partitioner found (parallel mode only).
+    /// Conflict components the partitioner found (parallel rows only).
     pub components_found: u64,
-    /// Redo worker threads used (parallel mode only).
+    /// Redo worker threads used (parallel rows only).
     pub workers: u64,
     /// Operations re-executed.
     pub redone: u64,
 }
 
-/// Run one recovery of `(store, wal)` clones under `options`.
+/// Run one recovery of `(store, wal)` clones on `workers` replay threads.
 pub fn run_mode(
     store: &StableStore,
     wal: &Wal,
     p: &Params,
     components: usize,
     label: &str,
-    options: RecoveryOptions,
+    workers: usize,
 ) -> ModeRow {
     let registry = slow_registry(p.op_latency);
     // Cloned stores share one metrics ledger; measure this recovery as a
@@ -187,7 +183,7 @@ pub fn run_mode(
         registry,
         llog_core::EngineConfig::default(),
         RedoPolicy::RsiExposed,
-        options,
+        workers,
     )
     .expect("clean log recovers");
     let elapsed = start.elapsed();
@@ -199,7 +195,6 @@ pub fn run_mode(
         analysis_scanned: outcome.analysis_scanned,
         redo_scanned: outcome.redo_scanned,
         records_decoded: m.recovery_records_decoded,
-        ring_reused: m.recovery_ring_reused,
         components_found: m.recovery_components,
         workers: m.recovery_parallel_workers,
         redone: outcome.redone,
@@ -257,7 +252,6 @@ pub fn run_sharded(shards: usize, p: &Params) -> ShardRow {
         &recover_registry,
         config,
         RedoPolicy::RsiExposed,
-        RecoveryOptions::serial(),
         Some(p.workers),
     )
     .expect("sharded image recovers");
@@ -274,8 +268,7 @@ pub fn run_sharded(shards: usize, p: &Params) -> ShardRow {
 /// Everything the binary reports.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Part A: components {1,2,4,8} x modes {serial, single_pass,
-    /// parallel}.
+    /// Part A: components {1,2,4,8} x {serial, parallel}.
     pub modes: Vec<ModeRow>,
     /// Part B: shards {1,4}.
     pub sharded: Vec<ShardRow>,
@@ -298,15 +291,6 @@ impl Report {
             (Some(s), Some(p)) if p > 0 => s as f64 / p as f64,
             _ => 0.0,
         }
-    }
-
-    /// Every single-pass/parallel row decoded each stable record exactly
-    /// once: `records_decoded == analysis_scanned`.
-    pub fn single_decode_ok(&self) -> bool {
-        self.modes
-            .iter()
-            .filter(|r| r.mode != "serial")
-            .all(|r| r.records_decoded == r.analysis_scanned)
     }
 
     /// 1-shard over 4-shard pool-recovery wall-clock.
@@ -340,26 +324,19 @@ impl Report {
                 s,
                 "{{\"components\":{},\"mode\":{:?},\"elapsed_ns\":{},\
                  \"analysis_scanned\":{},\"redo_scanned\":{},\
-                 \"records_decoded\":{},\"ring_reused\":{},\
-                 \"components_found\":{},\"workers\":{},\"redone\":{}}}",
+                 \"records_decoded\":{},\"components_found\":{},\"workers\":{},\"redone\":{}}}",
                 r.components,
                 r.mode,
                 r.elapsed_ns,
                 r.analysis_scanned,
                 r.redo_scanned,
                 r.records_decoded,
-                r.ring_reused,
                 r.components_found,
                 r.workers,
                 r.redone
             );
         }
-        let _ = write!(
-            s,
-            "],\"speedup_4c\":{:.2},\"single_decode_ok\":{},\"sharded\":[",
-            self.speedup_4c(),
-            self.single_decode_ok()
-        );
+        let _ = write!(s, "],\"speedup_4c\":{:.2},\"sharded\":[", self.speedup_4c());
         for (i, r) in self.sharded.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -380,19 +357,8 @@ pub fn run(p: &Params) -> Report {
     let mut modes = Vec::new();
     for &k in &[1usize, 2, 4, 8] {
         let (store, wal) = component_workload(k, p);
-        for (label, options) in [
-            ("serial", RecoveryOptions::serial()),
-            ("single_pass", RecoveryOptions::default()),
-            (
-                "parallel",
-                RecoveryOptions {
-                    mode: RecoveryMode::Parallel,
-                    workers: Some(p.workers),
-                    ..RecoveryOptions::default()
-                },
-            ),
-        ] {
-            modes.push(run_mode(&store, &wal, p, k, label, options));
+        for (label, workers) in [("serial", 1), ("parallel", p.workers)] {
+            modes.push(run_mode(&store, &wal, p, k, label, workers));
         }
     }
     let sharded = [1usize, 4].iter().map(|&n| run_sharded(n, p)).collect();
@@ -408,7 +374,6 @@ pub fn modes_table(report: &Report) -> Table {
         "analysis",
         "redo scan",
         "decoded",
-        "ring reuse",
         "workers",
         "redone",
     ]);
@@ -420,7 +385,6 @@ pub fn modes_table(report: &Report) -> Table {
             format!("{}", r.analysis_scanned),
             format!("{}", r.redo_scanned),
             format!("{}", r.records_decoded),
-            format!("{}", r.ring_reused),
             format!("{}", r.workers),
             format!("{}", r.redone),
         ]);
@@ -461,19 +425,8 @@ mod tests {
     fn parallel_beats_serial_on_four_components() {
         let p = tiny();
         let (store, wal) = component_workload(4, &p);
-        let serial = run_mode(&store, &wal, &p, 4, "serial", RecoveryOptions::serial());
-        let parallel = run_mode(
-            &store,
-            &wal,
-            &p,
-            4,
-            "parallel",
-            RecoveryOptions {
-                mode: RecoveryMode::Parallel,
-                workers: Some(p.workers),
-                ..RecoveryOptions::default()
-            },
-        );
+        let serial = run_mode(&store, &wal, &p, 4, "serial", 1);
+        let parallel = run_mode(&store, &wal, &p, 4, "parallel", p.workers);
         assert_eq!(serial.redone, parallel.redone, "same work either way");
         assert_eq!(parallel.components_found, 4);
         let speedup = serial.elapsed_ns as f64 / parallel.elapsed_ns.max(1) as f64;
@@ -483,30 +436,6 @@ mod tests {
              ({} vs {} ns)",
             parallel.elapsed_ns,
             serial.elapsed_ns
-        );
-    }
-
-    #[test]
-    fn single_pass_decodes_once_serial_decodes_twice() {
-        let p = Params {
-            op_latency: Duration::ZERO,
-            ..tiny()
-        };
-        let (store, wal) = component_workload(2, &p);
-        let serial = run_mode(&store, &wal, &p, 2, "serial", RecoveryOptions::serial());
-        let single = run_mode(
-            &store,
-            &wal,
-            &p,
-            2,
-            "single_pass",
-            RecoveryOptions::default(),
-        );
-        assert_eq!(single.records_decoded, single.analysis_scanned);
-        assert!(single.ring_reused > 0);
-        assert!(
-            serial.records_decoded > serial.analysis_scanned,
-            "serial re-decodes the redo range"
         );
     }
 
@@ -538,7 +467,6 @@ mod tests {
                 analysis_scanned: 8,
                 redo_scanned: 8,
                 records_decoded: 8,
-                ring_reused: 8,
                 components_found: 4,
                 workers: 4,
                 redone: 8,
@@ -555,7 +483,6 @@ mod tests {
             "\"experiment\":\"e12_recovery_speed\"",
             "\"modes\":[",
             "\"speedup_4c\":",
-            "\"single_decode_ok\":",
             "\"records_decoded\":",
             "\"sharded\":[",
             "\"shard_speedup_4x\":",

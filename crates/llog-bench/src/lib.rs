@@ -18,7 +18,7 @@
 //! | [`e9_cache_pressure`] | §3: bounded cache, eviction and forced installs |
 //! | [`e10_amortization`] | §4: updates amortized per flush |
 //! | [`e11_sharding`] | per-engine rW graphs: shard scaling + group commit |
-//! | [`e12_recovery_speed`] | Figure 2 extended: single-pass + parallel redo |
+//! | [`e12_recovery_speed`] | Figure 2 extended: conflict-component parallel redo |
 //! | [`e13_backend_cost`] | DESIGN §11: incremental checkpoints + segment reclaim vs monolithic images |
 //! | [`e14_server_load`] | DESIGN §12: open-loop load against the TCP front end |
 //! | [`e15_replication`] | DESIGN §13: replica lag under load + failover fidelity |

@@ -408,7 +408,7 @@ pub fn cmd_stats(dir: &Path) -> Result<()> {
     );
     println!("metrics: {}", snap.to_json());
     // Dry recovery of the loaded image (clones; nothing is written back)
-    // to surface the single-pass pipeline's timing/counter block.
+    // to surface the recovery pipeline's timing/counter block.
     match recover(
         store.clone(),
         wal.clone(),

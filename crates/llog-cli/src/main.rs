@@ -65,6 +65,20 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Positional argument `i` as a number: `default` when absent, `None` when
+/// present but not a number (the caller prints usage).
+fn num<T: std::str::FromStr>(args: &[String], i: usize, default: T) -> Option<T> {
+    match args.get(i) {
+        Some(s) => s.parse().ok(),
+        None => Some(default),
+    }
+}
+
+/// A shard count at position `i` (default 4); zero is as invalid as a typo.
+fn shard_count(args: &[String], i: usize) -> Option<usize> {
+    num(args, i, 4).filter(|&n| n > 0)
+}
+
 /// Strip a trailing/embedded `--backend <b>` pair out of `args`.
 fn take_backend(args: &mut Vec<String>) -> Result<Backend, llog_types::LlogError> {
     if let Some(i) = args.iter().position(|a| a == "--backend") {
@@ -95,14 +109,17 @@ fn main() -> ExitCode {
     };
     let result = match cmd {
         "demo" => {
-            let ops = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(200);
-            let seed = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(42);
+            let (Some(ops), Some(seed)) = (num(&args, 2, 200), num(&args, 3, 42)) else {
+                return usage();
+            };
             cmd_demo(&dir, ops, seed, backend)
         }
         "shard-demo" => {
-            let shards = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
-            let ops = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(200);
-            let seed = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(42);
+            let (Some(shards), Some(ops), Some(seed)) =
+                (shard_count(&args, 2), num(&args, 3, 200), num(&args, 4, 42))
+            else {
+                return usage();
+            };
             cmd_shard_demo(&dir, shards, ops, seed, backend)
         }
         "dump" => cmd_dump(&dir),
@@ -124,7 +141,9 @@ fn main() -> ExitCode {
             None => return usage(),
         },
         "serve" => {
-            let shards = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
+            let Some(shards) = shard_count(&args, 2) else {
+                return usage();
+            };
             let addr = args.get(3).map(String::as_str).unwrap_or("127.0.0.1:0");
             cmd_serve(&dir, shards, addr)
         }
@@ -150,9 +169,11 @@ fn main() -> ExitCode {
         "load" | "check" => {
             // Here the second positional is an address, not a directory.
             let addr = args.get(1).map(String::as_str).unwrap_or_default();
-            let ops = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(500);
-            let seed = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(42);
-            let conns = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(2);
+            let (Some(ops), Some(seed), Some(conns)) =
+                (num(&args, 2, 500), num(&args, 3, 42), num(&args, 4, 2))
+            else {
+                return usage();
+            };
             cmd_load(addr, ops, seed, conns, cmd == "check")
         }
         "stop" => cmd_stop(args.get(1).map(String::as_str).unwrap_or_default()),

@@ -955,8 +955,7 @@ impl Engine {
     /// are appended *before* the checkpoint record (and forced with it):
     /// every hint a recovery starting at this checkpoint's `redo_start`
     /// could use is then at or above `redo_start` and below the checkpoint
-    /// record, where both the serial pass and the single-pass gap rescan
-    /// will see it.
+    /// record, where the redo scan will see it.
     pub fn checkpoint(&mut self, truncate: bool) -> Result<Lsn> {
         let redo_start = self
             .dirty_rsi

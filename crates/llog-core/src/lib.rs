@@ -18,9 +18,9 @@
 //!   maintenance, checkpointing.
 //! - [`redo`]: the REDO tests — vSI-based and the generalized rSI +
 //!   exposed test (§5).
-//! - [`recover`](mod@recover): the single-pass recovery pipeline — fused
-//!   analysis/redo over one log scan, conflict-component partitioning and
-//!   dependency-scheduled parallel replay (Figure 2, extended).
+//! - [`recover`](mod@recover): the recovery pipeline — an analysis scan,
+//!   a redo scan, then serial replay or conflict-component parallel
+//!   replay on a `workers`-sized pool (Figure 2, extended).
 //! - [`partition`]: union–find conflict components over `readset ∪
 //!   writeset` (the §2 commutativity argument that makes parallel redo
 //!   sound).
@@ -46,7 +46,7 @@ pub use cache::{Engine, EngineConfig, FlushStrategy, GraphKind};
 pub use igraph::{EdgeKind, InstallGraph};
 pub use media::{media_recover, media_recover_archived, Backup, BackupMode};
 pub use partition::partition_ops;
-pub use recover::{recover, recover_with, RecoveryMode, RecoveryOptions, RecoveryOutcome};
+pub use recover::{recover, recover_with, RecoveryOutcome};
 pub use redo::RedoPolicy;
 pub use replica::{RedoSession, ReplicaReader};
 pub use rwgraph::{NodeId, RWGraph};

@@ -1,5 +1,5 @@
-//! Recovery: the single-pass analysis/redo pipeline (`Recover`, Figure 2,
-//! extended with dependency-scheduled parallel redo).
+//! Recovery: the two-pass analysis/redo pipeline (`Recover`, Figure 2,
+//! extended with conflict-component parallel replay).
 //!
 //! Recovery reads the master record for the last stable checkpoint, rebuilds
 //! the dirty object table from checkpoint + installation + flush + operation
@@ -10,28 +10,23 @@
 //! a second crash) can follow seamlessly; that is what makes recovery
 //! idempotent (Theorem 2).
 //!
-//! Three execution strategies share one observable behaviour
-//! ([`RecoveryMode`]):
+//! The pipeline has four steps:
 //!
-//! - **Serial** — the legacy two-pass baseline: analysis scan, then a redo
-//!   scan that re-decodes from `redo_start`. Kept as the differential
-//!   oracle.
-//! - **SinglePass** (default) — analysis retains decoded op records at or
-//!   after the running min-dirty LSN in a bounded ring, so the redo phase
-//!   replays straight from memory; stable bytes are decoded exactly once.
-//!   If the ring under-covers (bounded capacity, or a checkpoint table
-//!   reaching behind the scan start), a gap rescan of only the missing
-//!   prefix restores correctness.
-//! - **Parallel** — single-pass, plus: frames are CRC-checked and decoded
-//!   on worker threads ([`Wal::scan_batched`]), and the retained ops are
-//!   partitioned into conflict components
-//!   ([`partition_ops`](crate::partition::partition_ops)) replayed
-//!   concurrently. Ops in different components touch disjoint `readset ∪
-//!   writeset`s, so by the installation-graph argument of §2 they commute;
-//!   log order is preserved *within* each component and the computed
-//!   outputs are merged into the engine in global log order.
+//! 1. one analysis scan from the master checkpoint;
+//! 2. flush-transaction completion;
+//! 3. one redo scan from `redo_start` collecting op records and
+//!    checkpoint-time conversion hints;
+//! 4. replay. With one worker, or when the ops form a single conflict
+//!    component, the serial engine loop runs on the calling thread — the
+//!    reference every differential compares against. Otherwise the ops are
+//!    partitioned into conflict components ([`partition_ops`]) and replayed
+//!    on a scoped pool of `min(workers, components)` threads. Ops in
+//!    different components touch disjoint `readset ∪ writeset`s, so by the
+//!    installation-graph argument of §2 they commute; log order is
+//!    preserved *within* each component and the computed outputs are
+//!    merged into the engine in global log order.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -44,80 +39,6 @@ use llog_wal::{LogRecord, Wal};
 use crate::cache::{Engine, EngineConfig};
 use crate::partition::partition_ops;
 use crate::redo::{dead_records, should_redo, RedoContext, RedoPolicy};
-
-/// How the recovery pipeline executes (see the module docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RecoveryMode {
-    /// Two log passes, strictly serial replay. The differential oracle:
-    /// every other mode must produce an identical store and an equal
-    /// [`RecoveryOutcome`].
-    Serial,
-    /// One log pass (op records retained in the analysis ring), serial
-    /// replay.
-    #[default]
-    SinglePass,
-    /// One log pass with parallel frame decode, plus conflict-component
-    /// parallel replay on a scoped worker pool.
-    Parallel,
-}
-
-/// Tuning knobs for [`recover_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryOptions {
-    /// Execution strategy.
-    pub mode: RecoveryMode,
-    /// Maximum op records the analysis ring retains (`0` = unbounded).
-    /// Overflow falls back to a gap rescan of the dropped prefix — a pure
-    /// performance trade, never a correctness one.
-    pub ring_capacity: usize,
-    /// Worker threads for parallel decode and replay. `None` sizes the pool
-    /// by [`std::thread::available_parallelism`].
-    pub workers: Option<usize>,
-    /// Frames per decode chunk handed to [`Wal::scan_batched`].
-    pub decode_batch: usize,
-}
-
-impl Default for RecoveryOptions {
-    fn default() -> RecoveryOptions {
-        RecoveryOptions {
-            mode: RecoveryMode::SinglePass,
-            ring_capacity: 0,
-            workers: None,
-            decode_batch: 64,
-        }
-    }
-}
-
-impl RecoveryOptions {
-    /// The legacy two-pass serial pipeline (the differential oracle).
-    pub fn serial() -> RecoveryOptions {
-        RecoveryOptions {
-            mode: RecoveryMode::Serial,
-            ..RecoveryOptions::default()
-        }
-    }
-
-    /// Parallel pipeline with an explicit worker count.
-    pub fn parallel(workers: usize) -> RecoveryOptions {
-        RecoveryOptions {
-            mode: RecoveryMode::Parallel,
-            workers: Some(workers),
-            ..RecoveryOptions::default()
-        }
-    }
-}
-
-/// Resolve the effective worker count for an options struct.
-fn effective_workers(options: &RecoveryOptions) -> usize {
-    options
-        .workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(1)
-}
 
 /// What recovery did — the quantities experiments E5/E6 report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -143,6 +64,34 @@ pub struct RecoveryOutcome {
     pub torn_tail: bool,
 }
 
+/// Conversion hints, keyed by the LSN of the logical op a checkpoint-time
+/// conversion record physicalizes: the op's writeset and post-images. A hint
+/// changes *how* a selected op is redone (adopt the recorded post-images
+/// instead of re-executing the transform), never *whether* it is redone —
+/// so hints cannot perturb the REDO test or replay order.
+type Hints = BTreeMap<Lsn, (Vec<ObjectId>, Vec<Value>)>;
+
+/// Visit every stable record from `from` in log order. Corruption is
+/// classified with [`Wal::corruption_is_torn_tail`]: a torn tail (at or
+/// after the last force boundary) cleanly ends the scan and makes the
+/// result `true`, while mid-log corruption — damage inside a previously
+/// forced prefix — is a hard error.
+fn scan_log(wal: &Wal, from: Lsn, mut visit: impl FnMut(Lsn, LogRecord)) -> Result<bool> {
+    for item in wal.scan(from) {
+        match item {
+            Ok((lsn, rec)) => visit(lsn, rec),
+            Err(LlogError::Corrupt { offset, reason }) => {
+                if wal.corruption_is_torn_tail(offset) {
+                    return Ok(true);
+                }
+                return Err(LlogError::Corrupt { offset, reason });
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(false)
+}
+
 /// Result of the analysis pass.
 #[derive(Debug, Clone, Default)]
 struct Analysis {
@@ -150,126 +99,42 @@ struct Analysis {
     /// Values of committed flush transactions, per object in log order,
     /// that no later flush of the object supersedes.
     ftxn_values: BTreeMap<ObjectId, Vec<(Value, Lsn)>>,
+    /// Values of the flush transaction begun but not yet committed.
+    pending_ftxn: Vec<(ObjectId, Value, Lsn)>,
     redo_start: Lsn,
     scanned: u64,
     torn_tail: bool,
     max_op_id: Option<u64>,
 }
 
-/// Recompute the running ring lower bound every this many retained ops, or
-/// every `|dirty table|` ops when that is more: the bound is a scan of the
-/// table, so the larger interval keeps it amortized O(1) per record.
-const PRUNE_INTERVAL: usize = 256;
-
-/// The analysis state machine, one [`step`](Analyzer::step) per log record.
-///
-/// With `retain` set it also keeps the single-pass op ring: every decoded
-/// `Op` record is pushed; records provably below the final redo start
-/// (their LSN is under the running min-dirty LSN, and per-object rSIs only
-/// advance during a forward scan) are pruned periodically, and a bounded
-/// `cap` drops the oldest entries. `ring_from` is the ring's coverage
-/// floor: the ring holds **every** op record with LSN in
-/// `[ring_from, scan end)`, so the redo phase re-decodes, at most, the gap
-/// `[redo_start, ring_from)`.
-struct Analyzer {
-    a: Analysis,
-    pending_ftxn: Vec<(ObjectId, Value, Lsn)>,
-    retain: bool,
-    prune: bool,
-    cap: usize,
-    ring: VecDeque<(Lsn, Operation)>,
-    ring_from: Lsn,
-    /// LSN of every record the analysis scan decoded (ascending) — lets the
-    /// redo phase report `redo_scanned` without a second scan.
-    lsns: Vec<Lsn>,
-    since_prune: usize,
-    /// Redo hints from checkpoint-time conversion records, keyed by the LSN
-    /// of the logical op they physicalize. A hint changes *how* a selected
-    /// op is redone (adopt the recorded post-images instead of re-executing
-    /// the transform), never *whether* it is redone — so hints cannot
-    /// perturb the REDO test or replay order.
-    hints: BTreeMap<Lsn, (Vec<ObjectId>, Vec<Value>)>,
-}
-
-impl Analyzer {
-    fn new(
-        scan_from: Lsn,
-        seeded_dirty: BTreeMap<ObjectId, Lsn>,
-        retain: bool,
-        prune: bool,
-        cap: usize,
-    ) -> Analyzer {
-        Analyzer {
-            a: Analysis {
-                dirty: seeded_dirty,
-                ..Analysis::default()
-            },
-            pending_ftxn: Vec::new(),
-            retain,
-            prune,
-            cap,
-            ring: VecDeque::new(),
-            ring_from: scan_from,
-            lsns: Vec::new(),
-            since_prune: 0,
-            hints: BTreeMap::new(),
-        }
-    }
-
+impl Analysis {
+    /// Advance the analysis state machine by one log record.
     fn step(&mut self, lsn: Lsn, rec: LogRecord) {
-        self.a.scanned += 1;
-        if self.retain {
-            self.lsns.push(lsn);
-        }
-        // A physical-result record is, to analysis and redo, exactly a blind
-        // physical op whose values are known: normalize it up front so the
-        // dirty-table / ring logic below has a single op shape.
-        let rec = match rec {
-            LogRecord::PhysicalResult(pr) => LogRecord::Op(pr.to_operation()),
-            other => other,
-        };
+        self.scanned += 1;
         match rec {
-            LogRecord::Op(op) => {
-                self.a.max_op_id = Some(self.a.max_op_id.map_or(op.id.0, |m| m.max(op.id.0)));
-                for &x in &op.writes {
-                    self.a.dirty.entry(x).or_insert(lsn);
-                }
-                if self.retain {
-                    self.ring.push_back((lsn, op));
-                    if self.cap > 0 && self.ring.len() > self.cap {
-                        // Bounded ring: drop the oldest; the gap rescan
-                        // re-decodes it if redo still needs it.
-                        self.ring.pop_front();
-                        if let Some((front, _)) = self.ring.front() {
-                            self.ring_from = self.ring_from.max(*front);
-                        }
-                    }
-                    self.since_prune += 1;
-                    if self.prune && self.since_prune >= PRUNE_INTERVAL.max(self.a.dirty.len()) {
-                        self.since_prune = 0;
-                        self.prune_ring(lsn);
-                    }
-                }
-            }
+            LogRecord::Op(op) => self.op(lsn, &op),
+            // A physical-result record is, to analysis, exactly a blind
+            // physical op whose values are known.
+            LogRecord::PhysicalResult(pr) => self.op(lsn, &pr.to_operation()),
             LogRecord::Install(ir) => {
                 // A logged flush happened after every committed flush
                 // transaction before it: its object's stable value is no
                 // longer the transaction's to complete (a later delete
                 // would otherwise be undone by the replay below).
                 for (x, _) in &ir.vars {
-                    self.a.ftxn_values.remove(x);
+                    self.ftxn_values.remove(x);
                 }
                 for (x, rsi) in ir.vars.into_iter().chain(ir.notx) {
                     if rsi == Lsn::MAX {
-                        self.a.dirty.remove(&x);
+                        self.dirty.remove(&x);
                     } else {
-                        self.a.dirty.insert(x, rsi);
+                        self.dirty.insert(x, rsi);
                     }
                 }
             }
             LogRecord::Flush { obj, .. } => {
-                self.a.dirty.remove(&obj);
-                self.a.ftxn_values.remove(&obj);
+                self.dirty.remove(&obj);
+                self.ftxn_values.remove(&obj);
             }
             LogRecord::FlushTxnBegin { .. } => self.pending_ftxn.clear(),
             LogRecord::FlushTxnValue { obj, value, vsi } => {
@@ -277,7 +142,7 @@ impl Analyzer {
             }
             LogRecord::FlushTxnCommit => {
                 for (x, value, vsi) in self.pending_ftxn.drain(..) {
-                    self.a.ftxn_values.entry(x).or_default().push((value, vsi));
+                    self.ftxn_values.entry(x).or_default().push((value, vsi));
                 }
             }
             LogRecord::Checkpoint(cp) => {
@@ -285,57 +150,33 @@ impl Analyzer {
                 // carried it to disk before the crash): adopt its table on
                 // top of what we've accumulated — it is a superset summary.
                 for (x, rsi) in cp.dirty {
-                    self.a.dirty.entry(x).or_insert(rsi);
+                    self.dirty.entry(x).or_insert(rsi);
                 }
             }
-            LogRecord::Converted(cv) => {
-                self.hints.insert(cv.at, (cv.writes, cv.values));
-            }
-            // Normalized above.
-            LogRecord::PhysicalResult(_) => unreachable!(),
+            // Redo hints only; the redo scan collects them.
+            LogRecord::Converted(_) => {}
         }
     }
 
-    /// Drop retained ops below the running min-dirty LSN: the final
-    /// `redo_start` is the minimum over the dirty table at scan end, and
-    /// entries only join the table at the (monotonically increasing)
-    /// current scan position or move forward via installs, so ops already
-    /// below today's minimum stay below tomorrow's. Even if a handcrafted
-    /// log violates that, the gap rescan keeps the result correct — this is
-    /// purely the memory-bound optimization.
-    fn prune_ring(&mut self, at: Lsn) {
-        // An empty dirty table means everything so far is installed: any
-        // future redo start is at or past the current position.
-        let m = self.a.dirty.values().copied().min().unwrap_or(at);
-        while self.ring.front().is_some_and(|(l, _)| *l < m) {
-            self.ring.pop_front();
+    fn op(&mut self, lsn: Lsn, op: &Operation) {
+        self.max_op_id = Some(self.max_op_id.map_or(op.id.0, |m| m.max(op.id.0)));
+        for &x in &op.writes {
+            self.dirty.entry(x).or_insert(lsn);
         }
-        self.ring_from = self.ring_from.max(m);
     }
 }
 
-/// Run the analysis scan. `decode_workers > 1` decodes frames on worker
-/// threads via [`Wal::scan_batched`]; the state machine always consumes in
-/// log order on the calling thread.
-///
-/// Corruption is classified with [`Wal::corruption_is_torn_tail`]: a torn
-/// tail (at or after the last force boundary) cleanly ends the scan, while
-/// mid-log corruption — damage inside a previously forced prefix — is a
-/// hard error.
-fn analyze_with(
-    wal: &Wal,
-    policy: RedoPolicy,
-    options: &RecoveryOptions,
-    decode_workers: usize,
-) -> Result<Analyzer> {
+/// The analysis scan: seed the dirty object table from the master
+/// checkpoint and fold in every stable record after it.
+fn analyze(wal: &Wal) -> Result<Analysis> {
     let mut scan_from = wal.start_lsn();
-    let mut seeded = BTreeMap::new();
+    let mut a = Analysis::default();
 
     // The master record points at the last stable checkpoint; seed the dirty
     // object table from it.
     if let Some(cp_lsn) = wal.master_checkpoint() {
         if let LogRecord::Checkpoint(cp) = wal.read_at(cp_lsn)? {
-            seeded = cp.dirty.into_iter().collect();
+            a.dirty = cp.dirty.into_iter().collect();
             scan_from = cp_lsn;
         } else {
             return Err(LlogError::Corrupt {
@@ -345,55 +186,45 @@ fn analyze_with(
         }
     }
 
-    let retain = options.mode != RecoveryMode::Serial;
-    // Naive redo replays from the log start regardless of the dirty table,
-    // so min-dirty pruning would only grow the gap rescan: keep everything.
-    let prune = retain && policy != RedoPolicy::Naive;
-    let mut an = Analyzer::new(scan_from, seeded, retain, prune, options.ring_capacity);
-
-    if decode_workers > 1 {
-        let summary = wal.scan_batched(
-            scan_from,
-            options.decode_batch.max(1),
-            decode_workers,
-            &mut |lsn, rec| {
-                an.step(lsn, rec);
-                Ok(())
-            },
-        )?;
-        if let Some((offset, reason)) = summary.corrupt {
-            if wal.corruption_is_torn_tail(offset) {
-                an.a.torn_tail = true;
-            } else {
-                return Err(LlogError::Corrupt { offset, reason });
-            }
-        }
-    } else {
-        for item in wal.scan(scan_from) {
-            match item {
-                Ok((lsn, rec)) => an.step(lsn, rec),
-                Err(LlogError::Corrupt { offset, reason }) => {
-                    if wal.corruption_is_torn_tail(offset) {
-                        an.a.torn_tail = true;
-                        break;
-                    }
-                    return Err(LlogError::Corrupt { offset, reason });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    an.a.redo_start =
-        an.a.dirty
-            .values()
-            .copied()
-            .min()
-            .unwrap_or_else(|| wal.forced_lsn());
-    Ok(an)
+    a.torn_tail = scan_log(wal, scan_from, |lsn, rec| a.step(lsn, rec))?;
+    a.redo_start = a
+        .dirty
+        .values()
+        .copied()
+        .min()
+        .unwrap_or_else(|| wal.forced_lsn());
+    Ok(a)
 }
 
-/// How the replay phase disposed of one retained op record. Carries the
+/// What the redo scan collects.
+#[derive(Default)]
+struct RedoRange {
+    /// Op records in log order (physical results normalized to blind
+    /// physical ops).
+    ops: Vec<(Lsn, Operation)>,
+    hints: Hints,
+    /// Records visited.
+    scanned: u64,
+}
+
+/// The redo scan: every op record and conversion hint from `from` on.
+fn collect_redo(wal: &Wal, from: Lsn) -> Result<RedoRange> {
+    let mut r = RedoRange::default();
+    scan_log(wal, from, |lsn, rec| {
+        r.scanned += 1;
+        match rec {
+            LogRecord::Op(op) => r.ops.push((lsn, op)),
+            LogRecord::PhysicalResult(pr) => r.ops.push((lsn, pr.to_operation())),
+            LogRecord::Converted(cv) => {
+                r.hints.insert(cv.at, (cv.writes, cv.values));
+            }
+            _ => {}
+        }
+    })?;
+    Ok(r)
+}
+
+/// How the component pool disposed of one op record. Carries the
 /// computed outputs so the merge step can adopt them without re-reading
 /// inputs or re-running the transform.
 enum Verdict {
@@ -431,7 +262,7 @@ fn replay_component(
     ops: &[(Lsn, Operation)],
     comp: &[usize],
     dead: &BTreeSet<Lsn>,
-    hints: &BTreeMap<Lsn, (Vec<ObjectId>, Vec<Value>)>,
+    hints: &Hints,
     ctx: &RedoContext<'_>,
     policy: RedoPolicy,
     store: &StableStore,
@@ -505,7 +336,7 @@ fn replay_components(
     ops: &[(Lsn, Operation)],
     components: &[Vec<usize>],
     dead: &BTreeSet<Lsn>,
-    hints: &BTreeMap<Lsn, (Vec<ObjectId>, Vec<Value>)>,
+    hints: &Hints,
     ctx: &RedoContext<'_>,
     policy: RedoPolicy,
     store: &StableStore,
@@ -566,10 +397,9 @@ fn replay_components(
         .collect()
 }
 
-/// Recover the database `(store, wal)` after a crash with the default
-/// pipeline ([`RecoveryMode::SinglePass`]). Returns a ready [`Engine`]
-/// (cache, write graph and dirty table rebuilt) and the
-/// [`RecoveryOutcome`].
+/// Recover the database `(store, wal)` after a crash, replaying serially on
+/// the calling thread. Returns a ready [`Engine`] (cache, write graph and
+/// dirty table rebuilt) and the [`RecoveryOutcome`].
 pub fn recover(
     store: StableStore,
     wal: Wal,
@@ -577,55 +407,33 @@ pub fn recover(
     config: EngineConfig,
     policy: RedoPolicy,
 ) -> Result<(Engine, RecoveryOutcome)> {
-    recover_with(
-        store,
-        wal,
-        registry,
-        config,
-        policy,
-        RecoveryOptions::default(),
-    )
+    recover_with(store, wal, registry, config, policy, 1)
 }
 
-/// Recover with explicit pipeline [`RecoveryOptions`]. All modes produce
-/// an identical store, engine state and [`RecoveryOutcome`]; they differ
-/// only in how many times stable bytes are decoded and how much of the
-/// replay runs concurrently.
+/// [`recover`] with up to `workers` replay threads (`0` counts as `1`).
+/// Every worker count produces an identical store, engine state and
+/// [`RecoveryOutcome`]; more workers only pay off when the redone
+/// transforms are expensive and the ops split into several conflict
+/// components.
 pub fn recover_with(
     store: StableStore,
     wal: Wal,
     registry: TransformRegistry,
     config: EngineConfig,
     policy: RedoPolicy,
-    options: RecoveryOptions,
+    workers: usize,
 ) -> Result<(Engine, RecoveryOutcome)> {
     let metrics = store.metrics().clone();
-    let workers = effective_workers(&options);
-    let decode_workers = if options.mode == RecoveryMode::Parallel {
-        workers
-    } else {
-        1
-    };
 
     let t_analysis = Instant::now();
-    let an = analyze_with(&wal, policy, &options, decode_workers)?;
+    let analysis = analyze(&wal)?;
     Metrics::bump(
         &metrics.recovery_analysis_ns,
         t_analysis.elapsed().as_nanos() as u64,
     );
-    Metrics::bump(&metrics.recovery_records_decoded, an.a.scanned);
-    let Analyzer {
-        a: analysis,
-        ring,
-        ring_from,
-        lsns,
-        mut hints,
-        ..
-    } = an;
 
     let mut outcome = RecoveryOutcome {
         analysis_scanned: analysis.scanned,
-        redo_start: analysis.redo_start,
         torn_tail: analysis.torn_tail,
         ..RecoveryOutcome::default()
     };
@@ -650,84 +458,16 @@ pub fn recover_with(
         analysis.redo_start
     };
     outcome.redo_start = redo_from;
-
-    // ------------------------------------------------------------------
-    // Gather the op records to replay.
-    // ------------------------------------------------------------------
-    let mut op_records: Vec<(Lsn, Operation)> = Vec::new();
-    if options.mode == RecoveryMode::Serial {
-        // Legacy second pass: re-decode everything from redo_from.
-        for item in wal.scan(redo_from) {
-            match item {
-                Ok((lsn, LogRecord::Op(op))) => op_records.push((lsn, op)),
-                Ok((lsn, LogRecord::PhysicalResult(pr))) => {
-                    op_records.push((lsn, pr.to_operation()));
-                }
-                Ok((_, LogRecord::Converted(cv))) => {
-                    hints.insert(cv.at, (cv.writes, cv.values));
-                }
-                Ok(_) => {}
-                Err(LlogError::Corrupt { offset, reason }) => {
-                    if wal.corruption_is_torn_tail(offset) {
-                        break; // torn tail: end of log
-                    }
-                    return Err(LlogError::Corrupt { offset, reason });
-                }
-                Err(e) => return Err(e),
-            }
-            outcome.redo_scanned += 1;
-        }
-        Metrics::bump(&metrics.recovery_records_decoded, outcome.redo_scanned);
-    } else {
-        // Single-pass: replay from the analysis ring; re-decode only the
-        // gap below its coverage (bounded-ring overflow, pruning slack, or
-        // a checkpoint dirty table reaching behind the scan start).
-        if redo_from < ring_from {
-            let mut gap = 0u64;
-            for item in wal.scan(redo_from) {
-                match item {
-                    Ok((lsn, rec)) => {
-                        if lsn >= ring_from {
-                            break;
-                        }
-                        gap += 1;
-                        match rec {
-                            LogRecord::Op(op) => op_records.push((lsn, op)),
-                            LogRecord::PhysicalResult(pr) => {
-                                op_records.push((lsn, pr.to_operation()));
-                            }
-                            LogRecord::Converted(cv) => {
-                                hints.insert(cv.at, (cv.writes, cv.values));
-                            }
-                            _ => {}
-                        }
-                    }
-                    Err(LlogError::Corrupt { offset, reason }) => {
-                        if wal.corruption_is_torn_tail(offset) {
-                            break;
-                        }
-                        return Err(LlogError::Corrupt { offset, reason });
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            outcome.redo_scanned += gap;
-            Metrics::bump(&metrics.recovery_records_decoded, gap);
-        }
-        let lo = redo_from.max(ring_from);
-        let mut reused = 0u64;
-        for (lsn, op) in ring {
-            if lsn >= lo {
-                op_records.push((lsn, op));
-                reused += 1;
-            }
-        }
-        Metrics::bump(&metrics.recovery_ring_reused, reused);
-        // redo_scanned parity with Serial: records the legacy second pass
-        // would have visited at/after the ring floor were all seen (and
-        // counted) by the analysis scan.
-        outcome.redo_scanned += (lsns.len() - lsns.partition_point(|&l| l < lo)) as u64;
-    }
+    let RedoRange {
+        ops: op_records,
+        hints,
+        scanned: redo_scanned,
+    } = collect_redo(&wal, redo_from)?;
+    outcome.redo_scanned = redo_scanned;
+    Metrics::bump(
+        &metrics.recovery_records_decoded,
+        analysis.scanned + redo_scanned,
+    );
 
     // §5 transient-object optimization (RsiExposed only): records whose
     // effects no surviving state depends on are treated as installed.
@@ -756,12 +496,19 @@ pub fn recover_with(
     // ------------------------------------------------------------------
     // Replay.
     // ------------------------------------------------------------------
-    let mut engine;
-    if options.mode == RecoveryMode::Parallel {
-        let components = partition_ops(&op_records);
+    // Partition only when there is a pool to share the components out.
+    let components = if workers > 1 {
+        partition_ops(&op_records)
+    } else {
+        Vec::new()
+    };
+    let pool = workers.min(components.len()).max(1);
+    if workers > 1 {
         Metrics::bump(&metrics.recovery_components, components.len() as u64);
-        let pool = workers.min(components.len()).max(1);
         Metrics::set_gauge(&metrics.recovery_parallel_workers, pool as u64);
+    }
+    let mut engine;
+    if pool > 1 {
         // Workers compute verdicts against component-local caches (the
         // store is shared read-only); nothing is mutated until the merge.
         let verdicts = replay_components(
@@ -1258,111 +1005,79 @@ mod tests {
         e.crash()
     }
 
+    /// A master checkpoint whose dirty table holds rSIs below its own LSN:
+    /// uninstalled chains on objects 1–3, a checkpoint that installs
+    /// nothing, one op past it, then a crash. Objects 1–3 live only in the
+    /// log records behind the checkpoint, so analysis (which starts at the
+    /// checkpoint) must hand redo a start below it.
+    fn checkpoint_behind_redo_workload() -> (StableStore, Wal, Vec<Value>) {
+        let mut e = fresh_engine();
+        for salt in 0..3 {
+            exec_logical(&mut e, &[1], &[1], salt);
+            exec_logical(&mut e, &[2], &[2], salt + 10);
+            exec_logical(&mut e, &[1, 3], &[3], salt + 20);
+        }
+        e.checkpoint(false).unwrap();
+        exec_logical(&mut e, &[2], &[5], 77);
+        e.wal_mut().force();
+        let want = (0..8).map(|i| e.peek_value(ObjectId(i))).collect();
+        let (store, wal) = e.crash();
+        (store, wal, want)
+    }
+
     #[test]
     fn all_modes_agree_with_the_serial_oracle() {
-        for policy in [RedoPolicy::Naive, RedoPolicy::Vsi, RedoPolicy::RsiExposed] {
-            let (store, wal) = mixed_workload();
-            let run = |options: RecoveryOptions| {
-                recover_with(
-                    store.clone(),
-                    wal.clone(),
-                    TransformRegistry::with_builtins(),
-                    config(),
-                    policy,
-                    options,
-                )
-                .unwrap()
-            };
-            let (serial_e, serial_o) = run(RecoveryOptions::serial());
-            for options in [
-                RecoveryOptions::default(),
-                RecoveryOptions::parallel(1),
-                RecoveryOptions::parallel(3),
-                RecoveryOptions {
-                    mode: RecoveryMode::Parallel,
-                    workers: Some(4),
-                    decode_batch: 2,
-                    ring_capacity: 0,
-                },
-            ] {
-                let (e, o) = run(options);
-                assert_eq!(o, serial_o, "{policy:?} {options:?}: outcome diverged");
-                assert_eq!(
-                    engine_fingerprint(&e),
-                    engine_fingerprint(&serial_e),
-                    "{policy:?} {options:?}: state diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_ring_falls_back_to_gap_rescan() {
-        let (store, wal) = mixed_workload();
-        let run = |options: RecoveryOptions| {
-            recover_with(
-                store.clone(),
-                wal.clone(),
-                TransformRegistry::with_builtins(),
-                config(),
-                RedoPolicy::Vsi,
-                options,
-            )
-            .unwrap()
-        };
-        let (oracle_e, oracle_o) = run(RecoveryOptions::serial());
-        for cap in [1, 2, 3, 64] {
-            for mode in [RecoveryMode::SinglePass, RecoveryMode::Parallel] {
-                let options = RecoveryOptions {
-                    mode,
-                    ring_capacity: cap,
-                    workers: Some(2),
-                    ..RecoveryOptions::default()
+        for image in ["mixed", "checkpoint_behind_redo"] {
+            for policy in [RedoPolicy::Naive, RedoPolicy::Vsi, RedoPolicy::RsiExposed] {
+                let (store, wal, want) = match image {
+                    "mixed" => {
+                        let (store, wal) = mixed_workload();
+                        (store, wal, None)
+                    }
+                    _ => {
+                        let (store, wal, want) = checkpoint_behind_redo_workload();
+                        (store, wal, Some(want))
+                    }
                 };
-                let (e, o) = run(options);
-                assert_eq!(o, oracle_o, "cap={cap} {mode:?}");
-                assert_eq!(engine_fingerprint(&e), engine_fingerprint(&oracle_e));
-            }
-        }
-    }
-
-    #[test]
-    fn single_pass_decodes_each_record_exactly_once() {
-        let (store, wal) = mixed_workload();
-        let metrics = store.metrics().clone();
-        for (mode, double) in [
-            (RecoveryMode::Serial, true),
-            (RecoveryMode::SinglePass, false),
-            (RecoveryMode::Parallel, false),
-        ] {
-            metrics.reset();
-            let (_, o) = recover_with(
-                store.clone(),
-                wal.clone(),
-                TransformRegistry::with_builtins(),
-                config(),
-                RedoPolicy::Vsi,
-                RecoveryOptions {
-                    mode,
-                    workers: Some(2),
-                    ..RecoveryOptions::default()
-                },
-            )
-            .unwrap();
-            let decoded = metrics.snapshot().recovery_records_decoded;
-            if double {
-                assert_eq!(
-                    decoded,
-                    o.analysis_scanned + o.redo_scanned,
-                    "serial decodes the redo range twice"
-                );
-                assert!(o.redo_scanned > 0);
-            } else {
-                assert_eq!(
-                    decoded, o.analysis_scanned,
-                    "{mode:?} must decode each stable record exactly once"
-                );
-                assert!(metrics.snapshot().recovery_ring_reused > 0);
+                let run = |workers: usize| {
+                    recover_with(
+                        store.clone(),
+                        wal.clone(),
+                        TransformRegistry::with_builtins(),
+                        config(),
+                        policy,
+                        workers,
+                    )
+                    .unwrap()
+                };
+                let (serial_e, serial_o) = run(1);
+                if let Some(want) = &want {
+                    let cp = wal
+                        .master_checkpoint()
+                        .expect("image has a master checkpoint");
+                    assert!(
+                        serial_o.redo_start < cp,
+                        "{policy:?}: redo must start behind the checkpoint"
+                    );
+                    assert!(store.peek(ObjectId(3)).is_none());
+                    let got: Vec<Value> =
+                        (0..8).map(|i| serial_e.peek_value(ObjectId(i))).collect();
+                    if policy != RedoPolicy::Naive {
+                        assert_eq!(&got, want, "{policy:?}: ops behind the checkpoint lost");
+                    }
+                }
+                for workers in [3, 4] {
+                    let (e, o) = run(workers);
+                    assert_eq!(
+                        o, serial_o,
+                        "{image} {policy:?} workers={workers}: outcome diverged"
+                    );
+                    assert_eq!(
+                        engine_fingerprint(&e),
+                        engine_fingerprint(&serial_e),
+                        "{image} {policy:?} workers={workers}: state diverged"
+                    );
+                }
             }
         }
     }
@@ -1386,13 +1101,19 @@ mod tests {
             TransformRegistry::with_builtins(),
             config(),
             RedoPolicy::Vsi,
-            RecoveryOptions::parallel(3),
+            3,
         )
         .unwrap();
         assert_eq!(o.redone, 12);
         let s = metrics.snapshot();
         assert_eq!(s.recovery_components, 4);
         assert_eq!(s.recovery_parallel_workers, 3);
+        // Both passes decode their range.
+        assert!(o.redo_scanned > 0);
+        assert_eq!(
+            s.recovery_records_decoded,
+            o.analysis_scanned + o.redo_scanned
+        );
         assert!(s.recovery_analysis_ns > 0);
         assert!(s.recovery_redo_ns > 0);
     }
@@ -1413,7 +1134,7 @@ mod tests {
                 TransformRegistry::with_builtins(),
                 config(),
                 RedoPolicy::Vsi,
-                RecoveryOptions::parallel(workers),
+                workers,
             )
             .unwrap();
         };
@@ -1440,25 +1161,21 @@ mod tests {
         // Rot a bit inside the *first* force batch: far before the last
         // force boundary, so this is media damage, not a torn tail.
         wal.corrupt_stable_bit(Lsn(1), 12);
-        for options in [
-            RecoveryOptions::serial(),
-            RecoveryOptions::default(),
-            RecoveryOptions::parallel(2),
-        ] {
+        for workers in [1, 3] {
             let r = recover_with(
                 store.clone(),
                 wal.clone(),
                 TransformRegistry::with_builtins(),
                 config(),
                 RedoPolicy::Vsi,
-                options,
+                workers,
             );
             match r {
                 Err(LlogError::Corrupt { offset, .. }) => {
                     assert!(!wal.corruption_is_torn_tail(offset))
                 }
-                Err(other) => panic!("{options:?}: expected Corrupt error, got {other}"),
-                Ok((_, o)) => panic!("{options:?}: mid-log corruption accepted: {o:?}"),
+                Err(other) => panic!("workers={workers}: expected Corrupt error, got {other}"),
+                Ok((_, o)) => panic!("workers={workers}: mid-log corruption accepted: {o:?}"),
             }
         }
     }
@@ -1474,15 +1191,7 @@ mod tests {
         let guard = wal.forced_lsn();
         // Rot inside the *last* batch: indistinguishable from a tear.
         wal.corrupt_stable_bit(Lsn(guard.0 - 3), 1);
-        let (mut recovered, o) = recover_with(
-            store,
-            wal,
-            TransformRegistry::with_builtins(),
-            config(),
-            RedoPolicy::Vsi,
-            RecoveryOptions::default(),
-        )
-        .unwrap();
+        let (mut recovered, o) = recover_parts(store, wal, RedoPolicy::Vsi);
         assert!(o.torn_tail);
         assert_eq!(recovered.read_value(X), Value::from("stable"));
     }
@@ -1522,7 +1231,7 @@ mod tests {
     }
 
     #[test]
-    fn every_log_policy_recovers_identically_across_modes() {
+    fn every_log_policy_recovers_identically_at_any_worker_count() {
         let policies = [
             llog_ops::LogPolicy::Logical,
             llog_ops::LogPolicy::Physical,
@@ -1531,27 +1240,25 @@ mod tests {
         let mut visible: Vec<Vec<Value>> = Vec::new();
         for policy in policies {
             let (store, wal) = hybrid_workload(policy);
-            let run = |options: RecoveryOptions| {
+            let run = |workers: usize| {
                 recover_with(
                     store.clone(),
                     wal.clone(),
                     TransformRegistry::with_builtins(),
                     config(),
                     RedoPolicy::Vsi,
-                    options,
+                    workers,
                 )
                 .unwrap()
             };
-            let (serial_e, serial_o) = run(RecoveryOptions::serial());
-            for options in [RecoveryOptions::default(), RecoveryOptions::parallel(3)] {
-                let (e, o) = run(options);
-                assert_eq!(o, serial_o, "{policy:?} {options:?}: outcome diverged");
-                assert_eq!(
-                    engine_fingerprint(&e),
-                    engine_fingerprint(&serial_e),
-                    "{policy:?} {options:?}: state diverged"
-                );
-            }
+            let (serial_e, serial_o) = run(1);
+            let (e, o) = run(3);
+            assert_eq!(o, serial_o, "{policy:?}: outcome diverged");
+            assert_eq!(
+                engine_fingerprint(&e),
+                engine_fingerprint(&serial_e),
+                "{policy:?}: state diverged"
+            );
             visible.push(
                 (0..8u64)
                     .map(|i| serial_e.peek_value(ObjectId(i)))
@@ -1573,11 +1280,7 @@ mod tests {
         e.checkpoint(false).unwrap(); // converts both logical ops and forces
         let want: Vec<Value> = (0..4).map(|i| e.peek_value(ObjectId(i))).collect();
         let (store, wal) = e.crash();
-        for options in [
-            RecoveryOptions::serial(),
-            RecoveryOptions::default(),
-            RecoveryOptions::parallel(2),
-        ] {
+        for workers in [1, 3] {
             // A fresh registry with an untouched cost ledger: any transform
             // re-execution during redo would show up in its apply counts.
             let fresh = TransformRegistry::with_builtins();
@@ -1588,17 +1291,17 @@ mod tests {
                 fresh,
                 config(),
                 RedoPolicy::Vsi,
-                options,
+                workers,
             )
             .unwrap();
-            assert_eq!(o.redone, 3, "{options:?}");
+            assert_eq!(o.redone, 3, "workers={workers}");
             assert_eq!(
                 probe.apply_count(builtin::HASH_MIX),
                 0,
-                "{options:?}: a converted op was re-executed"
+                "workers={workers}: a converted op was re-executed"
             );
             let got: Vec<Value> = (0..4).map(|i| recovered.peek_value(ObjectId(i))).collect();
-            assert_eq!(got, want, "{options:?}");
+            assert_eq!(got, want, "workers={workers}");
         }
     }
 
@@ -1622,42 +1325,39 @@ mod tests {
         let (s0, w0) = build(false);
         let (plain, _) = recover_parts(s0, w0, RedoPolicy::Vsi);
         let (s1, w1) = build(true);
-        let run = |options: RecoveryOptions| {
+        let run = |workers: usize| {
             recover_with(
                 s1.clone(),
                 w1.clone(),
                 TransformRegistry::with_builtins(),
                 adaptive_config(),
                 RedoPolicy::Vsi,
-                options,
+                workers,
             )
             .unwrap()
         };
-        let (serial_e, serial_o) = run(RecoveryOptions::serial());
+        let (serial_e, serial_o) = run(1);
         assert_eq!(
             engine_fingerprint(&serial_e),
             engine_fingerprint(&plain),
             "conversion hints changed the recovered state"
         );
-        for options in [RecoveryOptions::default(), RecoveryOptions::parallel(2)] {
-            let (e, o) = run(options);
-            assert_eq!(o, serial_o, "{options:?}");
-            assert_eq!(engine_fingerprint(&e), engine_fingerprint(&serial_e));
-        }
+        let (e, o) = run(3);
+        assert_eq!(o, serial_o);
+        assert_eq!(engine_fingerprint(&e), engine_fingerprint(&serial_e));
         // Re-emission after such a crash is idempotent: the recovered
         // engine checkpoints (re-converting the still-live ops), crashes,
         // and recovers to the same state again.
-        let (mut again, _) = run(RecoveryOptions::default());
+        let (mut again, _) = run(1);
         let fp_before: Vec<Value> = (0..4).map(|i| again.peek_value(ObjectId(i))).collect();
         again.checkpoint(false).unwrap();
         let (s2, w2) = again.crash();
-        let (final_e, _) = recover_with(
+        let (final_e, _) = recover(
             s2,
             w2,
             TransformRegistry::with_builtins(),
             adaptive_config(),
             RedoPolicy::Vsi,
-            RecoveryOptions::default(),
         )
         .unwrap();
         let fp_after: Vec<Value> = (0..4).map(|i| final_e.peek_value(ObjectId(i))).collect();

@@ -1,7 +1,7 @@
 //! Continuous redo: a recovery that never stops.
 //!
 //! A [`RedoSession`] is the replica-side replay engine of log shipping. It
-//! begins with an ordinary single-pass recovery over the shipped `(store
+//! begins with an ordinary recovery over the shipped `(store
 //! image, log prefix)` pair, then *keeps replaying* as further stable bytes
 //! arrive from the primary, maintaining a **replayed-LSN watermark**: the
 //! end of the last contiguously replayed frame. Reads are served at the
@@ -38,7 +38,7 @@ use llog_types::{LlogError, Lsn, ObjectId, Result, Value};
 use llog_wal::{LogRecord, Wal};
 
 use crate::cache::{Engine, EngineConfig};
-use crate::recover::{recover_with, RecoveryOptions, RecoveryOutcome};
+use crate::recover::{recover, RecoveryOutcome};
 use crate::redo::RedoPolicy;
 use crate::snapshot::{Snapshot, SnapshotRegistry};
 
@@ -57,7 +57,7 @@ pub struct RedoSession {
 
 impl RedoSession {
     /// Start a session over a shipped `(store, wal)` pair: run a full
-    /// single-pass recovery (REDO-test discipline for every record already
+    /// recovery (REDO-test discipline for every record already
     /// covered by the store image), then position the watermark at the end
     /// of the last complete, valid frame.
     pub fn begin(
@@ -67,14 +67,7 @@ impl RedoSession {
         config: EngineConfig,
         policy: RedoPolicy,
     ) -> Result<(RedoSession, RecoveryOutcome)> {
-        let (mut engine, outcome) = recover_with(
-            store,
-            wal,
-            registry,
-            config,
-            policy,
-            RecoveryOptions::default(),
-        )?;
+        let (mut engine, outcome) = recover(store, wal, registry, config, policy)?;
         let watermark = engine.wal().contiguous_end(engine.wal().start_lsn());
         let versions = engine.enable_versions();
         Ok((

@@ -7,8 +7,9 @@
 //! the version indexes, and the install choice rescans and sorts the
 //! minimal nodes. That makes it quadratic over a long log, and obviously
 //! right. [`RWGraph`] maintains the same graph incrementally; audit mode
-//! (`EngineConfig::audit`) runs this oracle beside it and [`diff`] compares
-//! the two after every operation and every install. Nothing on a
+//! (`EngineConfig::audit`) runs this oracle beside it and
+//! [`diff`](ReferenceRwGraph::diff) compares the two after every operation
+//! and every install. Nothing on a
 //! production path uses this module.
 
 use std::collections::{BTreeMap, BTreeSet};

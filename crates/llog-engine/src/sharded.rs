@@ -7,7 +7,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use llog_core::snapshot::Snapshot;
-use llog_core::{recover_with, Engine, EngineConfig, RecoveryOptions, RecoveryOutcome, RedoPolicy};
+use llog_core::{recover, Engine, EngineConfig, RecoveryOutcome, RedoPolicy};
 use llog_ops::{OpKind, Transform, TransformRegistry};
 use llog_storage::{Metrics, StableStore};
 use llog_testkit::faults::FaultHost;
@@ -778,7 +778,7 @@ impl ShardedEngine {
     /// slice means clean tails everywhere).
     ///
     /// A shard whose device already died mid-force (torn/rotted write —
-    /// see [`Shard::dead`]'s latch) crashes *clean* instead: a dead device
+    /// see the shard's `dead` latch) crashes *clean* instead: a dead device
     /// cannot be mid-way through writing a final fragment, and a torn
     /// append here would promote the WAL's tail guard past the earlier
     /// fault's never-acknowledged bytes.
@@ -880,34 +880,25 @@ fn checkpoint_one(shard: &Shard, truncate: bool) -> Result<Lsn> {
 /// idle threads are spawned. Returns the recovered engine plus each
 /// shard's [`RecoveryOutcome`], in shard order.
 ///
-/// Each shard recovers with [`RecoveryOptions::default`] (the single-pass
-/// pipeline); use [`recover_sharded_with`] to pick a different
-/// [`RecoveryMode`](llog_core::RecoveryMode) or pool size.
+/// Each shard replays serially on its pool thread
+/// ([`recover`](fn@llog_core::recover)); use [`recover_sharded_with`] to pick
+/// the pool size.
 pub fn recover_sharded(
     parts: Vec<(StableStore, Wal)>,
     registry: &TransformRegistry,
     config: ShardedConfig,
     policy: RedoPolicy,
 ) -> Result<(ShardedEngine, Vec<RecoveryOutcome>)> {
-    recover_sharded_with(
-        parts,
-        registry,
-        config,
-        policy,
-        RecoveryOptions::default(),
-        None,
-    )
+    recover_sharded_with(parts, registry, config, policy, None)
 }
 
-/// [`recover_sharded`] with explicit per-shard [`RecoveryOptions`] and an
-/// optional pool-size override (`None` = `available_parallelism`, clamped
-/// to the shard count either way).
+/// [`recover_sharded`] with an optional pool-size override (`None` =
+/// `available_parallelism`, clamped to the shard count either way).
 pub fn recover_sharded_with(
     parts: Vec<(StableStore, Wal)>,
     registry: &TransformRegistry,
     mut config: ShardedConfig,
     policy: RedoPolicy,
-    options: RecoveryOptions,
     pool_threads: Option<usize>,
 ) -> Result<(ShardedEngine, Vec<RecoveryOutcome>)> {
     assert!(!parts.is_empty(), "need at least one shard to recover");
@@ -945,8 +936,7 @@ pub fn recover_sharded_with(
                     let (store, wal) = lock(&slots[i])
                         .take()
                         .expect("each shard slot is claimed exactly once");
-                    let r =
-                        recover_with(store, wal, registry.clone(), engine_config, policy, options);
+                    let r = recover(store, wal, registry.clone(), engine_config, policy);
                     *lock(&result_slots[i]) = Some(r);
                 })
             })
@@ -1389,7 +1379,6 @@ mod tests {
 
     #[test]
     fn shared_pool_recovers_more_shards_than_threads() {
-        use llog_core::{RecoveryMode, RecoveryOptions};
         let reg = registry();
         let cfg = ShardedConfig {
             shards: 8,
@@ -1401,24 +1390,38 @@ mod tests {
         }
         e.force_all().unwrap();
         let parts = e.crash();
-        // Pool of 2 threads drains all 8 shard slots; serial mode inside
-        // each shard keeps the per-shard work single-threaded.
-        let (rec, outcomes) = recover_sharded_with(
-            parts,
-            &reg,
-            cfg,
-            RedoPolicy::RsiExposed,
-            RecoveryOptions {
-                mode: RecoveryMode::Serial,
-                ..RecoveryOptions::default()
-            },
-            Some(2),
-        )
-        .unwrap();
+        // Pool of 2 threads drains all 8 shard slots; each shard replays
+        // serially (one worker).
+        let (rec, outcomes) =
+            recover_sharded_with(parts.clone(), &reg, cfg, RedoPolicy::RsiExposed, Some(2))
+                .unwrap();
         assert_eq!(rec.shards(), 8);
         assert_eq!(outcomes.len(), 8);
         for i in 0..128u64 {
             assert_eq!(rec.read_value(ObjectId(i)).unwrap(), Value::from("pool"));
+        }
+        // The same shards, each replayed on a pool of 3 workers, recover
+        // the same outcomes and state.
+        let mut engines = Vec::new();
+        for (store, wal) in parts {
+            let (engine, outcome) = llog_core::recover_with(
+                store,
+                wal,
+                reg.clone(),
+                cfg.engine,
+                RedoPolicy::RsiExposed,
+                3,
+            )
+            .unwrap();
+            assert_eq!(outcome, outcomes[engines.len()], "shard {}", engines.len());
+            engines.push(engine);
+        }
+        let wide = ShardedEngine::from_engines(cfg, engines);
+        for i in 0..128u64 {
+            assert_eq!(
+                wide.read_value(ObjectId(i)).unwrap(),
+                rec.read_value(ObjectId(i)).unwrap()
+            );
         }
     }
 

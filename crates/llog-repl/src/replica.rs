@@ -40,9 +40,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use llog_core::{
-    recover_with, Engine, EngineConfig, RecoveryOptions, RedoPolicy, RedoSession, ReplicaReader,
-};
+use llog_core::{recover, Engine, EngineConfig, RedoPolicy, RedoSession, ReplicaReader};
 use llog_engine::{
     GroupCommitSnapshot, ShardRouter, ShardedConfig, ShardedEngine, ShardedSnapshot,
 };
@@ -800,13 +798,12 @@ fn device_catch_up(
         // The device log no longer reaches back to the session: recover
         // the device pair wholesale (it is self-sufficient by the
         // checkpoint-before-truncate discipline).
-        let (engine, _) = recover_with(
+        let (engine, _) = recover(
             dstore,
             dwal,
             registry.clone(),
             EngineConfig::default(),
             policy,
-            RecoveryOptions::default(),
         )?;
         return Ok(CatchUp::Replaced(Box::new(engine)));
     }

@@ -15,7 +15,7 @@
 //!    interleaved `install_one`, forcing every fourth step, then crashes
 //!    with the unforced tail lost or torn. The image is recovered
 //!    twice — serially in audit mode, so redo's own `add_op` is checked
-//!    too, and by the parallel pipeline — and both recoveries must report
+//!    too, and on three replay workers — and both recoveries must report
 //!    the same REDO outcome and match a pure replay of the stable log.
 //!
 //! The history mixes blind writes, identity writes, deletes,
@@ -27,8 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use llog_core::rwgraph::oracle::ReferenceRwGraph;
 use llog_core::{
-    recover_with, Engine, EngineConfig, FlushStrategy, GraphKind, RWGraph, RecoveryOptions,
-    RedoPolicy,
+    recover_with, Engine, EngineConfig, FlushStrategy, GraphKind, RWGraph, RedoPolicy,
 };
 use llog_ops::{builtin, table1, OpKind, Operation, Transform, TransformRegistry};
 use llog_testkit::TestRng;
@@ -221,22 +220,15 @@ fn engine_level(
         registry.clone(),
         config,
         policy,
-        RecoveryOptions::serial(),
+        1,
     )
     .map_err(|err| format!("audited serial recovery: {err}"))?;
     let plain = EngineConfig {
         audit: false,
         ..config
     };
-    let (_, parallel) = recover_with(
-        store,
-        wal,
-        registry.clone(),
-        plain,
-        policy,
-        RecoveryOptions::parallel(2),
-    )
-    .map_err(|err| format!("parallel recovery: {err}"))?;
+    let (_, parallel) = recover_with(store, wal, registry.clone(), plain, policy, 3)
+        .map_err(|err| format!("parallel recovery: {err}"))?;
     if serial != parallel {
         return Err(format!(
             "REDO outcomes differ: serial {serial:?} vs parallel {parallel:?}"

@@ -4,10 +4,10 @@
 //!
 //! - [`LogDevice`] — append-only WAL segments with per-segment CRCs, a
 //!   manifest written at the force barrier, and whole-segment truncation
-//!   reclaim ([`seglog`]).
+//!   reclaim (`seglog`).
 //! - [`StoreDevice`] — incremental object checkpoints: per-checkpoint delta
 //!   pages diffed against the last persisted state, chained by a manifest,
-//!   folded when the chain grows long ([`deltastore`]).
+//!   folded when the chain grows long (`deltastore`).
 //!
 //! Each trait has two implementations built over the same generic core:
 //! `Mem*` (a [`MemBlobs`] map — deterministic, fuzz-fast) and `File*`

@@ -340,9 +340,8 @@ metrics_table! {
         recovery_components: Counter,
         /// Gauge: worker threads used by the last parallel redo pass.
         recovery_parallel_workers: GaugeMax,
-        /// Op records replayed straight from the analysis ring (no re-decode).
-        recovery_ring_reused: Counter,
-        /// Log records decoded during recovery (analysis + any gap rescans).
+        /// Log records decoded during recovery: the analysis scan plus the
+        /// redo scan (a record in both ranges counts twice).
         recovery_records_decoded: Counter,
         /// Bytes written through a durability device (segments, deltas, manifests).
         io_bytes_written: Counter,
@@ -453,7 +452,7 @@ mod tests {
         assert!(json.contains(",\"log_forces\":9,"));
         assert!(json.contains(",\"versions_retained\":2,"));
         assert!(json.ends_with(",\"ckpt_ops_converted\":0}"));
-        assert_eq!(MetricsSnapshot::LEN, 46);
+        assert_eq!(MetricsSnapshot::LEN, 45);
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //!   and failure-seed reporting — with a [`proptest!`]-compatible macro
 //!   surface (`prop_oneof!`, `prop_assert!`, `prop_assert_eq!`, `vec`,
 //!   `any`, `Just`, `.prop_map`).
-//! - [`bench`]: a tiny statistics-aware micro-bench runner (warmup, N
+//! - [`bench`](mod@bench): a tiny statistics-aware micro-bench runner (warmup, N
 //!   timed iterations, median/p95 wall-clock, JSON output) standing in for
 //!   Criterion in `crates/llog-bench/benches/*`.
 //! - [`faults`]: a deterministic fault-injection substrate — a seeded
-//!   [`FaultPlan`](faults::FaultPlan) plus a thread-safe single-shot
-//!   [`FaultHost`](faults::FaultHost) with named failpoints (torn write,
-//!   short fsync, I/O error, bit flip, delayed/reordered page write) that
+//!   [`FaultPlan`] plus a thread-safe single-shot [`FaultHost`] with
+//!   named failpoints (torn write, short fsync, I/O error, bit flip,
+//!   delayed/reordered page write) that
 //!   the storage, WAL, and engine crates consult on their persistence
 //!   paths. Same seed ⇒ identical fault schedule.
 //!

@@ -3,7 +3,7 @@
 //! Provides seeded case generation, an iteration budget, greedy input
 //! shrinking on failure, and failure-seed reporting. The macro surface
 //! mirrors the subset of `proptest` the workspace uses — [`proptest!`],
-//! [`prop_oneof!`], [`prop_assert!`], [`prop_assert_eq!`], [`vec`],
+//! [`prop_oneof!`], [`prop_assert!`], [`prop_assert_eq!`], [`vec()`],
 //! [`any`], [`Just`], and [`StrategyExt::prop_map`] — so tests port with
 //! only an import change.
 //!
@@ -293,7 +293,7 @@ pub fn vec<S: Strategy>(element: S, len: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, len }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

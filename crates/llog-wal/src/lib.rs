@@ -26,4 +26,4 @@ pub use backend::{DurabilityBackend, PersistOutcome, LOG_SUBDIR, STORE_SUBDIR};
 pub use record::{
     CheckpointRecord, ConvertedRecord, InstallRecord, LogRecord, PhysicalResultRecord,
 };
-pub use wal::{BeginForce, ForceOutcome, ScanSummary, Wal, WalScan};
+pub use wal::{BeginForce, ForceOutcome, Wal, WalScan};

@@ -458,11 +458,11 @@ impl Wal {
         }
     }
 
-    /// Classify a corruption offset reported by [`Wal::scan`] or
-    /// [`Wal::scan_batched`]: `true` means the corrupt frame lies at or past
-    /// the last force boundary (a legitimate torn tail recovery truncates
-    /// away); `false` means corruption inside a previously forced prefix —
-    /// real damage that must surface as an error.
+    /// Classify a corruption offset reported by [`Wal::scan`]: `true` means
+    /// the corrupt frame lies at or past the last force boundary (a
+    /// legitimate torn tail recovery truncates away); `false` means
+    /// corruption inside a previously forced prefix — real damage that must
+    /// surface as an error.
     pub fn corruption_is_torn_tail(&self, offset: u64) -> bool {
         offset >= self.tail_guard.0
     }
@@ -475,191 +475,6 @@ impl Wal {
             wal: self,
             at: from,
         }
-    }
-
-    /// Scan stable records from `from`, decoding frames on `workers` scoped
-    /// threads in chunks of `batch` while `consume` observes `(lsn, record)`
-    /// pairs **in log order** on the calling thread.
-    ///
-    /// The calling thread walks frame *boundaries* only (length fields — no
-    /// CRC, no payload decode); workers claim chunks of frames, CRC-check
-    /// and decode them, and the caller reassembles chunk results in order.
-    /// The observable record stream, and the offset/reason of the first
-    /// corruption, are identical to [`Wal::scan`].
-    ///
-    /// Returns a [`ScanSummary`]. Torn frames and checksum mismatches are
-    /// *data*, not errors — they land in `ScanSummary::corrupt` so the
-    /// caller can classify them with [`Wal::corruption_is_torn_tail`].
-    /// Decode failures of CRC-valid frames and errors returned by `consume`
-    /// abort the scan with `Err`.
-    pub fn scan_batched(
-        &self,
-        from: Lsn,
-        batch: usize,
-        workers: usize,
-        consume: &mut dyn FnMut(Lsn, LogRecord) -> Result<()>,
-    ) -> Result<ScanSummary> {
-        if from < self.start_lsn() {
-            return Err(LlogError::LsnOutOfRange {
-                lsn: from,
-                start: self.start_lsn(),
-                end: self.forced_lsn(),
-            });
-        }
-        // Boundary walk on the calling thread: length fields only.
-        let mut off = (from.0 - self.base) as usize;
-        let mut frames: Vec<FrameRef> = Vec::new();
-        let mut tail: Option<(u64, String)> = None;
-        while off < self.stable.len() {
-            let bytes = &self.stable[off..];
-            if bytes.len() < FRAME_HEADER {
-                tail = Some((self.base + off as u64, "torn frame header".into()));
-                break;
-            }
-            let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-            if bytes.len() < FRAME_HEADER + len {
-                tail = Some((self.base + off as u64, "torn frame body".into()));
-                break;
-            }
-            frames.push(FrameRef {
-                lsn: self.base + off as u64,
-                payload: off + FRAME_HEADER,
-                len,
-                crc,
-            });
-            off += FRAME_HEADER + len;
-        }
-
-        let batch = batch.max(1);
-        let check = |f: &FrameRef| -> Result<(Lsn, LogRecord)> {
-            let payload = &self.stable[f.payload..f.payload + f.len];
-            if frame_crc(f.lsn, payload) != f.crc {
-                return Err(LlogError::Corrupt {
-                    offset: f.lsn,
-                    reason: "checksum mismatch".into(),
-                });
-            }
-            Ok((Lsn(f.lsn), LogRecord::decode(payload)?))
-        };
-
-        // Serial fast path: nothing to fan out, or a single worker anyway.
-        if workers <= 1 || frames.len() <= batch {
-            let mut records = 0u64;
-            for f in &frames {
-                match check(f) {
-                    Ok((lsn, rec)) => {
-                        consume(lsn, rec)?;
-                        records += 1;
-                    }
-                    Err(LlogError::Corrupt { offset, reason }) => {
-                        return Ok(ScanSummary {
-                            records,
-                            corrupt: Some((offset, reason)),
-                            workers_used: 1,
-                        });
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            return Ok(ScanSummary {
-                records,
-                corrupt: tail,
-                workers_used: 1,
-            });
-        }
-
-        // Parallel path: workers claim chunks by atomic index, CRC+decode,
-        // and ship results back; the caller consumes chunks in order.
-        use std::collections::BTreeMap;
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use std::sync::mpsc;
-
-        let chunks: Vec<&[FrameRef]> = frames.chunks(batch).collect();
-        let n_chunks = chunks.len();
-        let workers_used = workers.min(n_chunks);
-        let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        type ChunkResult = (usize, Vec<(Lsn, LogRecord)>, Option<LlogError>);
-        let (tx, rx) = mpsc::channel::<ChunkResult>();
-
-        std::thread::scope(|s| -> Result<ScanSummary> {
-            for _ in 0..workers_used {
-                let tx = tx.clone();
-                let chunks = &chunks;
-                let next = &next;
-                let stop = &stop;
-                s.spawn(move || loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunks.len() {
-                        break;
-                    }
-                    let mut out = Vec::with_capacity(chunks[i].len());
-                    let mut bad = None;
-                    for f in chunks[i] {
-                        match check(f) {
-                            Ok(pair) => out.push(pair),
-                            Err(e) => {
-                                bad = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    if tx.send((i, out, bad)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-
-            /// One decoded chunk: records in frame order, plus the first
-            /// corruption/decode error hit inside the chunk, if any.
-            type ChunkResult = (Vec<(Lsn, LogRecord)>, Option<LlogError>);
-            let mut pending: BTreeMap<usize, ChunkResult> = BTreeMap::new();
-            let mut want = 0usize;
-            let mut records = 0u64;
-            while want < n_chunks {
-                let Ok((i, out, bad)) = rx.recv() else {
-                    stop.store(true, Ordering::Relaxed);
-                    return Err(LlogError::Unexplainable(
-                        "batched scan worker exited early".into(),
-                    ));
-                };
-                pending.insert(i, (out, bad));
-                while let Some((out, bad)) = pending.remove(&want) {
-                    for (lsn, rec) in out {
-                        if let Err(e) = consume(lsn, rec) {
-                            stop.store(true, Ordering::Relaxed);
-                            return Err(e);
-                        }
-                        records += 1;
-                    }
-                    match bad {
-                        Some(LlogError::Corrupt { offset, reason }) => {
-                            stop.store(true, Ordering::Relaxed);
-                            return Ok(ScanSummary {
-                                records,
-                                corrupt: Some((offset, reason)),
-                                workers_used,
-                            });
-                        }
-                        Some(e) => {
-                            stop.store(true, Ordering::Relaxed);
-                            return Err(e);
-                        }
-                        None => want += 1,
-                    }
-                }
-            }
-            Ok(ScanSummary {
-                records,
-                corrupt: tail,
-                workers_used,
-            })
-        })
     }
 
     /// An empty WAL positioned at `base`, ready to ingest shipped stable
@@ -810,34 +625,6 @@ impl Wal {
             }),
         }
     }
-}
-
-/// A frame located by the boundary walk of [`Wal::scan_batched`]: where the
-/// payload lives in the stable image and which CRC it must match. Cheap to
-/// produce (no checksum, no decode) — the expensive work happens on workers.
-#[derive(Debug, Clone, Copy)]
-struct FrameRef {
-    /// Log address of the frame header.
-    lsn: u64,
-    /// Payload start offset in `stable`.
-    payload: usize,
-    /// Payload length in bytes.
-    len: usize,
-    /// Expected CRC of the payload.
-    crc: u32,
-}
-
-/// What a [`Wal::scan_batched`] pass observed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanSummary {
-    /// Records decoded and delivered to the consumer.
-    pub records: u64,
-    /// First corruption hit, as `(offset, reason)` — classify it with
-    /// [`Wal::corruption_is_torn_tail`]. `None` means the scan reached the
-    /// stable end cleanly.
-    pub corrupt: Option<(u64, String)>,
-    /// Decode threads actually used (1 for the serial fast path).
-    pub workers_used: usize,
 }
 
 /// Iterator over stable log records: yields `(lsn, record)`; a torn or
@@ -1208,143 +995,6 @@ mod tests {
         let end = w.forced_lsn();
         w.truncate_to(end).unwrap();
         assert_eq!(w.master_checkpoint(), None);
-    }
-
-    /// Collect a full serial scan into `(lsn, record)` pairs plus the
-    /// terminal corruption, mirroring what `scan_batched` reports.
-    fn serial_scan(w: &Wal, from: Lsn) -> (Vec<(Lsn, LogRecord)>, Option<(u64, String)>) {
-        let mut recs = Vec::new();
-        let mut corrupt = None;
-        for item in w.scan(from) {
-            match item {
-                Ok(pair) => recs.push(pair),
-                Err(LlogError::Corrupt { offset, reason }) => {
-                    corrupt = Some((offset, reason));
-                    break;
-                }
-                Err(e) => panic!("unexpected scan error: {e}"),
-            }
-        }
-        (recs, corrupt)
-    }
-
-    fn batched_scan(
-        w: &Wal,
-        from: Lsn,
-        batch: usize,
-        workers: usize,
-    ) -> (Vec<(Lsn, LogRecord)>, Option<(u64, String)>) {
-        let mut recs = Vec::new();
-        let summary = w
-            .scan_batched(from, batch, workers, &mut |lsn, rec| {
-                recs.push((lsn, rec));
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(summary.records as usize, recs.len());
-        (recs, summary.corrupt)
-    }
-
-    #[test]
-    fn scan_batched_matches_scan_on_clean_log() {
-        let mut w = wal();
-        for i in 0..57 {
-            w.append(&op_record(i));
-        }
-        w.force();
-        let expected = serial_scan(&w, w.start_lsn());
-        for (batch, workers) in [(1, 1), (4, 2), (8, 3), (64, 4), (1000, 2)] {
-            assert_eq!(
-                batched_scan(&w, w.start_lsn(), batch, workers),
-                expected,
-                "batch={batch} workers={workers}"
-            );
-        }
-        // Mid-log start point too.
-        let third = expected.0[19].0;
-        assert_eq!(batched_scan(&w, third, 4, 3), serial_scan(&w, third));
-    }
-
-    #[test]
-    fn scan_batched_matches_scan_on_torn_tail() {
-        let mut w = wal();
-        for i in 0..20 {
-            w.append(&op_record(i));
-        }
-        w.force();
-        w.append(&op_record(99));
-        w.crash_torn(5);
-        let expected = serial_scan(&w, w.start_lsn());
-        assert!(expected.1.is_some(), "tail must be torn");
-        for (batch, workers) in [(1, 4), (4, 2), (7, 3)] {
-            assert_eq!(batched_scan(&w, w.start_lsn(), batch, workers), expected);
-        }
-    }
-
-    #[test]
-    fn scan_batched_matches_scan_on_mid_log_rot() {
-        let mut w = wal();
-        for i in 0..40 {
-            w.append(&op_record(i));
-        }
-        w.force();
-        for i in 40..60 {
-            w.append(&op_record(i));
-        }
-        w.force();
-        // Rot a byte in the *first* force batch: both scans must stop at the
-        // same offset with the same reason, and the records before it agree.
-        let mid = w.stable.len() / 4;
-        w.stable[mid] ^= 0x10;
-        let expected = serial_scan(&w, w.start_lsn());
-        let (offset, _) = expected.1.clone().expect("rot must be detected");
-        assert!(!w.corruption_is_torn_tail(offset), "rot is not a torn tail");
-        for (batch, workers) in [(3, 2), (8, 4)] {
-            assert_eq!(batched_scan(&w, w.start_lsn(), batch, workers), expected);
-        }
-    }
-
-    #[test]
-    fn scan_batched_rejects_out_of_range_start_and_propagates_consume_errors() {
-        let mut w = wal();
-        for i in 0..10 {
-            w.append(&op_record(i));
-        }
-        w.force();
-        let boundaries: Vec<Lsn> = w.scan(w.start_lsn()).map(|r| r.unwrap().0).collect();
-        w.truncate_to(boundaries[2]).unwrap();
-        let r = w.scan_batched(Lsn::ZERO, 4, 2, &mut |_, _| Ok(()));
-        assert!(matches!(r, Err(LlogError::LsnOutOfRange { .. })));
-
-        let mut seen = 0;
-        let r = w.scan_batched(w.start_lsn(), 2, 3, &mut |_, _| {
-            seen += 1;
-            if seen == 3 {
-                Err(LlogError::Unexplainable("stop".into()))
-            } else {
-                Ok(())
-            }
-        });
-        assert!(matches!(r, Err(LlogError::Unexplainable(_))));
-        assert_eq!(seen, 3, "consumer sees records in order up to its error");
-    }
-
-    #[test]
-    fn scan_batched_empty_range_is_clean() {
-        let mut w = wal();
-        w.append(&op_record(0));
-        w.force();
-        let s = w
-            .scan_batched(w.forced_lsn(), 4, 4, &mut |_, _| Ok(()))
-            .unwrap();
-        assert_eq!(
-            s,
-            ScanSummary {
-                records: 0,
-                corrupt: None,
-                workers_used: 1
-            }
-        );
     }
 
     #[test]

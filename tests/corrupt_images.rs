@@ -175,12 +175,12 @@ fn wal_over_long_declared_stable_len_is_rejected() {
 }
 
 /// Corruption classification during recovery: bit-rot *behind* the last
-/// force boundary is mid-log damage and must fail recovery loudly in every
-/// mode, while damage in the final force's byte range is indistinguishable
+/// force boundary is mid-log damage and must fail recovery loudly at every
+/// replay worker count, while damage in the final force's byte range is indistinguishable
 /// from a torn tail and must be clipped, not fatal.
 #[test]
 fn mid_log_corruption_fails_recovery_torn_tail_is_clipped() {
-    use llog_core::{recover_with, RecoveryMode, RecoveryOptions, RedoPolicy};
+    use llog_core::{recover_with, RedoPolicy};
 
     let write = |e: &mut Engine, x: u64, tag: &str| {
         e.execute(
@@ -206,19 +206,11 @@ fn mid_log_corruption_fails_recovery_torn_tail_is_clipped() {
         e.wal_mut().force(); // final boundary
         e
     };
-    let modes = [
-        RecoveryOptions::serial(),
-        RecoveryOptions::default(),
-        RecoveryOptions {
-            mode: RecoveryMode::Parallel,
-            workers: Some(2),
-            ..RecoveryOptions::default()
-        },
-    ];
+    let worker_counts = [1, 3];
 
     // Bit-rot in the first record (well before the last force): recovery
     // must refuse the image rather than silently clip half the log.
-    for options in modes {
+    for workers in worker_counts {
         let mut e = build();
         let first = e.wal().start_lsn();
         e.wal_mut().corrupt_stable_bit(first, 12);
@@ -229,17 +221,19 @@ fn mid_log_corruption_fails_recovery_torn_tail_is_clipped() {
             TransformRegistry::with_builtins(),
             EngineConfig::default(),
             RedoPolicy::RsiExposed,
-            options,
+            workers,
         ) {
             Err(LlogError::Corrupt { .. }) => {}
-            Ok(_) => panic!("{options:?}: mid-log corruption was silently clipped"),
-            Err(other) => panic!("{options:?}: expected Corrupt, got {other}"),
+            Ok(_) => panic!("workers={workers}: mid-log corruption was silently clipped"),
+            Err(other) => panic!("workers={workers}: expected Corrupt, got {other}"),
         }
     }
 
     // Bit-rot inside the final force's range: looks exactly like a torn
-    // tail, so recovery clips it and keeps everything durable before it.
-    for options in modes {
+    // tail, so recovery clips it and keeps everything durable before it,
+    // with the same outcome and state at every worker count.
+    let mut serial = None;
+    for workers in worker_counts {
         let mut e = build();
         let boundary = {
             let mut b = e.wal().start_lsn();
@@ -262,14 +256,29 @@ fn mid_log_corruption_fails_recovery_torn_tail_is_clipped() {
             TransformRegistry::with_builtins(),
             EngineConfig::default(),
             RedoPolicy::RsiExposed,
-            options,
+            workers,
         )
-        .unwrap_or_else(|err| panic!("{options:?}: tail corruption must clip, got {err}"));
+        .unwrap_or_else(|err| panic!("workers={workers}: tail corruption must clip, got {err}"));
         assert!(
             outcome.torn_tail,
-            "{options:?}: tail corruption must classify as torn"
+            "workers={workers}: tail corruption must classify as torn"
         );
         assert_eq!(rec.peek_value(ObjectId(0)), Value::from("early".as_bytes()));
+        let state = (
+            rec.store().snapshot(),
+            rec.dirty_table().clone(),
+            rec.live_op_ids(),
+            (0..8)
+                .map(|i| rec.peek_value(ObjectId(i)))
+                .collect::<Vec<_>>(),
+        );
+        match &serial {
+            None => serial = Some((outcome, state)),
+            Some((o, s)) => {
+                assert_eq!(&outcome, o, "workers={workers}: outcome diverged");
+                assert_eq!(&state, s, "workers={workers}: state diverged");
+            }
+        }
     }
 }
 
@@ -598,7 +607,7 @@ fn segmented_store_manifest_lies_are_codec() {
 /// frame straddles the sealed/open boundary.
 #[test]
 fn segmented_torn_open_tail_clips_not_fatal() {
-    use llog_core::{recover_with, RecoveryOptions, RedoPolicy};
+    use llog_core::{recover, RedoPolicy};
 
     let recover_dir = |dir: &Path, what: &str| {
         let b = DurabilityBackend::file(dir, Metrics::new(), &seg_cfg(SEG_BYTES)).unwrap();
@@ -606,13 +615,12 @@ fn segmented_torn_open_tail_clips_not_fatal() {
             .load(Metrics::new())
             .unwrap_or_else(|e| panic!("{what}: load failed: {e}"))
             .expect("fixture persisted");
-        recover_with(
+        recover(
             store,
             wal,
             TransformRegistry::with_builtins(),
             EngineConfig::default(),
             RedoPolicy::RsiExposed,
-            RecoveryOptions::default(),
         )
         .unwrap_or_else(|e| panic!("{what}: open-tail damage must clip, got {e}"))
     };

@@ -5,8 +5,7 @@
 use std::time::{Duration, Instant};
 
 use llog::core::{
-    recover, recover_with, Engine, EngineConfig, FlushStrategy, GraphKind, RecoveryOptions,
-    RedoPolicy,
+    recover, recover_with, Engine, EngineConfig, FlushStrategy, GraphKind, RedoPolicy,
 };
 use llog::engine::{
     recover_sharded, CommitPolicy, CommitTicket, GroupCommitPolicy, ShardedConfig, ShardedEngine,
@@ -129,9 +128,10 @@ fn every_crash_point_recovers_under_w_graph() {
 }
 
 /// A long log with no installs, so redo rebuilds every operation as one
-/// uninstalled window: recovery must match the serial oracle and finish
-/// within a bound that write-graph work quadratic in the window (about two
-/// minutes at this length even in release builds) cannot meet.
+/// uninstalled window: serial recovery (the oracle) must finish within a
+/// bound that write-graph work quadratic in the window (about two minutes
+/// at this length even in release builds) cannot meet, and recovery on
+/// three replay workers must match it.
 #[test]
 fn long_log_recovery_matches_the_serial_oracle_in_bounded_time() {
     const OPS: usize = 24_000;
@@ -158,20 +158,20 @@ fn long_log_recovery_matches_the_serial_oracle_in_bounded_time() {
     );
     assert!(outcome.redone > OPS as u64 / 2, "{outcome:?}");
 
-    let (serial, serial_outcome) = recover_with(
+    let (wide, wide_outcome) = recover_with(
         store,
         wal,
         registry(),
         rw_config(),
         RedoPolicy::RsiExposed,
-        RecoveryOptions::serial(),
+        3,
     )
     .unwrap();
-    assert_eq!(outcome, serial_outcome);
+    assert_eq!(outcome, wide_outcome);
     for x in (0..OBJECTS).map(ObjectId) {
-        assert_eq!(rec.peek_value(x), serial.peek_value(x), "object {x}");
+        assert_eq!(rec.peek_value(x), wide.peek_value(x), "object {x}");
     }
-    assert_eq!(rec.live_op_ids(), serial.live_op_ids());
+    assert_eq!(rec.live_op_ids(), wide.live_op_ids());
     verify_against_log(&rec, &registry()).unwrap();
 }
 
@@ -482,8 +482,8 @@ fn sharded_crash_after_checkpoint_gc_cut() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential recovery-mode matrix: every crash image must recover to the
-// same state and outcome under Serial, SinglePass and Parallel modes.
+// Differential replay-worker matrix: every crash image must recover to the
+// same state and outcome with one replay worker and with several.
 // ---------------------------------------------------------------------------
 
 fn mode_fingerprint(e: &llog::core::Engine) -> String {
@@ -502,39 +502,26 @@ fn assert_modes_agree(
     policy: RedoPolicy,
     ctx: &str,
 ) {
-    use llog::core::{recover_with, RecoveryMode, RecoveryOptions};
-    let (se, so) = recover_with(
-        store.clone(),
-        wal.clone(),
-        reg.clone(),
-        rw_config(),
-        policy,
-        RecoveryOptions::serial(),
-    )
-    .unwrap_or_else(|e| panic!("{ctx}: serial recovery failed: {e}"));
-    for options in [
-        RecoveryOptions::default(),
-        RecoveryOptions {
-            mode: RecoveryMode::Parallel,
-            workers: Some(3),
-            decode_batch: 4,
-            ..RecoveryOptions::default()
-        },
-    ] {
+    let (se, so) = recover(store.clone(), wal.clone(), reg.clone(), rw_config(), policy)
+        .unwrap_or_else(|e| panic!("{ctx}: serial recovery failed: {e}"));
+    for workers in [3, 4] {
         let (pe, po) = recover_with(
             store.clone(),
             wal.clone(),
             reg.clone(),
             rw_config(),
             policy,
-            options,
+            workers,
         )
-        .unwrap_or_else(|e| panic!("{ctx} {options:?}: recovery failed: {e}"));
-        assert_eq!(po, so, "{ctx} {options:?}: outcome diverged from serial");
+        .unwrap_or_else(|e| panic!("{ctx} workers={workers}: recovery failed: {e}"));
+        assert_eq!(
+            po, so,
+            "{ctx} workers={workers}: outcome diverged from serial"
+        );
         assert_eq!(
             mode_fingerprint(&pe),
             mode_fingerprint(&se),
-            "{ctx} {options:?}: recovered state diverged from serial"
+            "{ctx} workers={workers}: recovered state diverged from serial"
         );
     }
 }
@@ -581,7 +568,7 @@ fn recovery_modes_agree_on_torn_tails() {
 // conversion records and the checkpoint record itself must be harmless —
 // conversions are pure redo hints, so recovery with the conversions but
 // without the checkpoint (and every torn cut through the region) agrees
-// with the replay oracle across all recovery modes, and re-emitting the
+// with the replay oracle at every replay worker count, and re-emitting the
 // conversions at the survivor's next checkpoint is idempotent.
 // ---------------------------------------------------------------------------
 
@@ -720,7 +707,6 @@ impl Drop for BackendDir {
 
 #[test]
 fn wal_truncation_reclaims_device_space_and_recovery_agrees() {
-    use llog::core::{recover_with, RecoveryOptions};
     use llog_storage::device::DeviceConfig;
     use llog_storage::Metrics;
     use llog_wal::{DurabilityBackend, LOG_SUBDIR};
@@ -782,13 +768,12 @@ fn wal_truncation_reclaims_device_space_and_recovery_agrees() {
 
     // Crash. Recovery from the in-memory pair is the ground truth.
     let (store, wal) = engine.crash();
-    let (ge, go) = recover_with(
+    let (ge, go) = recover(
         store.clone(),
         wal.clone(),
         reg.clone(),
         rw_config(),
         RedoPolicy::RsiExposed,
-        RecoveryOptions::serial(),
     )
     .expect("in-memory recovery");
 
@@ -812,15 +797,8 @@ fn wal_truncation_reclaims_device_space_and_recovery_agrees() {
             "{name}: durable end diverged"
         );
         let image = dw.serialize();
-        let (de, doo) = recover_with(
-            ds,
-            dw,
-            reg.clone(),
-            rw_config(),
-            RedoPolicy::RsiExposed,
-            RecoveryOptions::serial(),
-        )
-        .unwrap_or_else(|e| panic!("{name}: device recovery failed: {e}"));
+        let (de, doo) = recover(ds, dw, reg.clone(), rw_config(), RedoPolicy::RsiExposed)
+            .unwrap_or_else(|e| panic!("{name}: device recovery failed: {e}"));
         // The retained prefix records are installed, so they must all fail
         // the REDO test: same redo work, same recovered state.
         assert_eq!(doo.redone, go.redone, "{name}: redo work diverged");
@@ -848,7 +826,6 @@ fn wal_truncation_reclaims_device_space_and_recovery_agrees() {
 /// outcome as the in-memory crash image, on both backends.
 #[test]
 fn post_truncation_recovery_equivalence_sweep() {
-    use llog::core::{recover_with, RecoveryOptions};
     use llog_storage::device::DeviceConfig;
     use llog_storage::Metrics;
     use llog_wal::DurabilityBackend;
@@ -872,26 +849,12 @@ fn post_truncation_recovery_equivalence_sweep() {
         file.persist(engine.store(), engine.wal(), None).unwrap();
 
         let (store, wal) = engine.crash();
-        let (ge, go) = recover_with(
-            store,
-            wal,
-            reg.clone(),
-            rw_config(),
-            RedoPolicy::RsiExposed,
-            RecoveryOptions::serial(),
-        )
-        .unwrap_or_else(|e| panic!("cut {cut}: in-memory recovery failed: {e}"));
+        let (ge, go) = recover(store, wal, reg.clone(), rw_config(), RedoPolicy::RsiExposed)
+            .unwrap_or_else(|e| panic!("cut {cut}: in-memory recovery failed: {e}"));
         for (name, backend) in [("mem", &mem), ("file", &file)] {
             let (ds, dw) = backend.load(Metrics::new()).unwrap().unwrap();
-            let (de, doo) = recover_with(
-                ds,
-                dw,
-                reg.clone(),
-                rw_config(),
-                RedoPolicy::RsiExposed,
-                RecoveryOptions::serial(),
-            )
-            .unwrap_or_else(|e| panic!("cut {cut} {name}: device recovery failed: {e}"));
+            let (de, doo) = recover(ds, dw, reg.clone(), rw_config(), RedoPolicy::RsiExposed)
+                .unwrap_or_else(|e| panic!("cut {cut} {name}: device recovery failed: {e}"));
             assert_eq!(doo, go, "cut {cut} {name}: outcome diverged");
             assert_eq!(
                 mode_fingerprint(&de),
@@ -953,7 +916,6 @@ fn ship_and_promote(
 
 #[test]
 fn failover_matrix_promoted_replica_keeps_acked_drops_unacked() {
-    use llog::core::{recover_with, RecoveryOptions};
     use llog::repl::visible_divergence;
 
     let reg = registry();
@@ -989,13 +951,12 @@ fn failover_matrix_promoted_replica_keeps_acked_drops_unacked() {
                 // The generalized differential oracle: the promoted
                 // replica is indistinguishable from real recovery of the
                 // same crash image.
-                let (oracle, _) = recover_with(
+                let (oracle, _) = recover(
                     pstore.clone(),
                     pwal.clone(),
                     reg.clone(),
                     EngineConfig::default(),
                     RedoPolicy::RsiExposed,
-                    RecoveryOptions::default(),
                 )
                 .unwrap();
                 if let Some(diff) = visible_divergence(&oracle, &replica) {
@@ -1188,7 +1149,6 @@ fn crash_between_double_buffer_swap_and_fsync_clips_torn_tail() {
 /// on both backends.
 #[test]
 fn recovery_over_recycled_segment_matches_in_memory_recovery() {
-    use llog::core::{recover_with, RecoveryOptions};
     use llog_storage::device::DeviceConfig;
     use llog_storage::Metrics;
     use llog_wal::DurabilityBackend;
@@ -1230,30 +1190,16 @@ fn recovery_over_recycled_segment_matches_in_memory_recovery() {
 
     // Ground truth: recovery from the in-memory crash image.
     let (store, wal) = engine.crash();
-    let (ge, go) = recover_with(
-        store,
-        wal,
-        reg.clone(),
-        rw_config(),
-        RedoPolicy::RsiExposed,
-        RecoveryOptions::serial(),
-    )
-    .expect("in-memory recovery");
+    let (ge, go) = recover(store, wal, reg.clone(), rw_config(), RedoPolicy::RsiExposed)
+        .expect("in-memory recovery");
 
     for (name, backend) in [("mem", &mem), ("file", &file)] {
         let (ds, dw) = backend
             .load(Metrics::new())
             .unwrap()
             .unwrap_or_else(|| panic!("{name}: nothing persisted"));
-        let (de, doo) = recover_with(
-            ds,
-            dw,
-            reg.clone(),
-            rw_config(),
-            RedoPolicy::RsiExposed,
-            RecoveryOptions::serial(),
-        )
-        .unwrap_or_else(|e| panic!("{name}: recovery over recycled segment failed: {e}"));
+        let (de, doo) = recover(ds, dw, reg.clone(), rw_config(), RedoPolicy::RsiExposed)
+            .unwrap_or_else(|e| panic!("{name}: recovery over recycled segment failed: {e}"));
         assert!(!doo.torn_tail, "{name}: ghosts misread as a torn tail");
         assert_eq!(doo.redone, go.redone, "{name}: redo work diverged");
         assert_eq!(

@@ -281,7 +281,7 @@ proptest! {
         extra in 1usize..16,
         policy_rsi in any::<bool>(),
     ) {
-        use llog::core::{recover_with, RecoveryOptions};
+        use llog::core::recover;
         use llog::engine::{CommitPolicy, ShardedConfig, ShardedEngine};
 
         let registry = TransformRegistry::with_builtins();
@@ -349,14 +349,12 @@ proptest! {
         let parts = engine.crash();
         for (i, (store, mut wal)) in parts.into_iter().enumerate() {
             wal.seal_to(sis[i]).unwrap();
-            let (rec, _) = recover_with(
+            let (rec, _) = recover(
                 store,
                 wal,
                 registry.clone(),
                 config.engine,
-                policy,
-                RecoveryOptions::serial(),
-            )
+                policy)
             .unwrap();
             for x in (0..N_OBJECTS).filter(|&x| homes[x as usize] == i) {
                 prop_assert_eq!(
